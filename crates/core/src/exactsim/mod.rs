@@ -15,7 +15,7 @@
 //! Lemma 2), *sampling ∝ π_i(k)²* (`R` scaled down by `‖π_i‖²`, Lemma 3) and
 //! the *local deterministic exploitation* of `D` (Algorithm 3).
 //!
-//! ## Practical deviations (also recorded in DESIGN.md)
+//! ## Practical deviations
 //!
 //! The theoretical sample count at `ε = 1e-7` is astronomically large; the
 //! guarantee is what makes the output a ground truth, but most of those
@@ -25,11 +25,13 @@
 //! * an optional **walk budget** ([`ExactSimConfig::walk_budget`]) that caps
 //!   the total number of walk pairs and scales every `R(k)` proportionally
 //!   (the benchmark harness uses it to trace out time/error curves), and
-//! * the **equivalent-variance tail-sample reduction** inside Algorithm 3
-//!   (see [`crate::diagonal`]).
+//! * the **equivalent-variance tail-sample reduction** inside Algorithm 3,
+//!   plus its engineering caps (see [`crate::diagonal`]).
 //!
 //! With the budget left at `None` the implementation is the paper's algorithm
-//! verbatim.
+//! verbatim. One baseline deviates too: [`crate::prsim`] indexes every node
+//! reachable within its level horizon (a hub fraction of 1) instead of
+//! sampling the non-indexed part with the authors' probe algorithm.
 
 mod result;
 

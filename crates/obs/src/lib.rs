@@ -26,7 +26,7 @@
 //!    scrape taken before the first request already shows every series at
 //!    zero — monitoring can alert on absence without a warm-up race.
 //! 3. **One histogram primitive.** The power-of-two bucketed
-//!    [`metrics::Histogram`] (formerly the service's `LatencyHistogram`)
+//!    [`metrics::Histogram`]
 //!    backs snapshots, quantiles, and the Prometheus `_bucket` series alike,
 //!    so no number is computed two ways.
 

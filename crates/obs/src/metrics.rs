@@ -9,8 +9,8 @@
 //!   recording is two relaxed atomic adds and no allocation.
 //! * function-backed series — a counter or gauge whose value is read from a
 //!   closure at scrape time, used to expose counters that already live
-//!   elsewhere (service stats fields, kernel statics) without double
-//!   bookkeeping.
+//!   elsewhere (kernel statics, the buffer pool, the store epoch) without
+//!   double bookkeeping.
 //!
 //! A [`Registry`] groups series into *families* (one metric name, one help
 //! string, one type, many label sets) and renders the whole collection in the
@@ -349,26 +349,14 @@ impl Registry {
     /// Registers a fresh histogram series and returns its handle.
     pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         let histogram = Arc::new(Histogram::new());
-        self.register_histogram(name, help, labels, histogram.clone());
-        histogram
-    }
-
-    /// Registers an existing histogram (e.g. one owned by a stats struct) as
-    /// a series, so one set of buckets backs both the snapshot and the scrape.
-    pub fn register_histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        histogram: Arc<Histogram>,
-    ) {
         self.push(
             name,
             help,
             "histogram",
             labels,
-            Series::Histogram(histogram),
+            Series::Histogram(histogram.clone()),
         );
+        histogram
     }
 
     /// Renders every family in the Prometheus text exposition format.

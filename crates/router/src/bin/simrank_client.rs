@@ -71,6 +71,7 @@ use std::time::{Duration, Instant};
 use exactsim_obs::json::escape_json;
 use exactsim_obs::metrics::Histogram as LatencyHistogram;
 use exactsim_router::scenario::{self, arrival_offsets, build_plan, parse_scenario, Op};
+use exactsim_router::wire::{f64_field, u64_field};
 use exactsim_service::net::LineClient;
 use exactsim_service::AlgorithmKind;
 
@@ -208,28 +209,6 @@ fn parse_args() -> Result<Options, String> {
 
 fn connect(addr: &str) -> Result<LineClient, String> {
     LineClient::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))
-}
-
-/// The unsigned integer value of the first `"field":123` in `json` (the
-/// protocol's stats replies are flat enough for a scan).
-fn u64_field(json: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The float value of the first `"field":1.25` in `json` (used to read the
-/// headline qps back out of a baseline scenario artifact).
-fn f64_field(json: &str, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// The `"requests":` counter of each entry in a router stats reply's

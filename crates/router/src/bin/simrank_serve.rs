@@ -327,7 +327,7 @@ fn help_text() -> String {
 
 /// The front-end the listener serves: one service, or a router over shards.
 /// Both implement [`ProtocolHost`]; this enum only exists so the binary can
-/// hold either and render mode-appropriate final stats.
+/// hold either and render the matching final `stats` line.
 enum Host {
     Single(SimRankService),
     Router(ShardRouter),
@@ -337,13 +337,6 @@ impl Host {
     fn stats_json(&self) -> String {
         match self {
             Host::Single(service) => service.stats().to_json(),
-            Host::Router(router) => router.stats_json(),
-        }
-    }
-
-    fn stats_human(&self) -> String {
-        match self {
-            Host::Single(service) => service.stats().to_string(),
             Host::Router(router) => router.stats_json(),
         }
     }
@@ -366,7 +359,7 @@ impl ProtocolHost for Host {
         }
     }
 
-    fn net_stats(&self) -> &exactsim_service::ServiceStats {
+    fn net_stats(&self) -> &exactsim_service::net::NetCounters {
         match self {
             Host::Single(s) => s.net_stats(),
             Host::Router(r) => r.net_stats(),
@@ -595,15 +588,16 @@ fn main() -> ExitCode {
         Some(addr) => serve_tcp(&host, addr, &opts),
         None => serve_stdin(&host, &opts),
     };
-    // The final counters: the human block in text mode, one structured event
-    // in JSON mode (so a `--log-json` stderr stream stays machine-parseable).
+    // The final counters: the `stats` line under a header in text mode, one
+    // structured event in JSON mode (so a `--log-json` stderr stream stays
+    // machine-parseable).
     match oplog::format() {
         LogFormat::Json => oplog::info(
             "simrank-serve",
             "final stats",
             &[("stats", host.stats_json().into())],
         ),
-        LogFormat::Text => eprintln!("--- final stats ---\n{}", host.stats_human()),
+        LogFormat::Text => eprintln!("--- final stats ---\n{}", host.stats_json()),
     }
     code
 }

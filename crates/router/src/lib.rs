@@ -9,7 +9,7 @@
 //! | [`health`] | per-shard closed → open → half-open circuit breakers (exponential backoff + jitter) behind every request and the background `ping` prober |
 //! | [`router`] | [`ShardRouter`]: routes `query` to the owning shard, scatter/gathers `topk` via the `shardtopk` verb (bit-identical merge), fans out updates with compensation and commits under a write barrier, and answers `stats`/`metrics` with fan-out, barrier, and per-shard series |
 //! | [`scenario`] | workload scenarios for `simrank-client --scenario`: Zipfian source popularity, read/write/algorithm mixes, open-loop Poisson arrivals with burst phases, expanded into deterministic operation plans |
-//! | `wire` (private) | field scanners for the protocol's flat JSON reply lines |
+//! | [`wire`] | first-match field scanners for the protocol's flat JSON reply lines, shared by the router and `simrank-client` |
 //!
 //! The router implements [`exactsim_service::net::ProtocolHost`], so the
 //! same TCP listener (and stdin REPL) serves either a single service or a
@@ -51,7 +51,7 @@ pub mod backend;
 pub mod health;
 pub mod router;
 pub mod scenario;
-pub(crate) mod wire;
+pub mod wire;
 
 pub use backend::{LocalShard, RemoteShard, ShardBackend, ShardError};
 pub use health::{Breaker, BreakerConfig, BreakerState};

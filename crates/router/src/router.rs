@@ -67,9 +67,9 @@ use exactsim_graph::partition::PartitionMap;
 use exactsim_obs::json::escape_json;
 use exactsim_obs::log as oplog;
 use exactsim_obs::metrics::{Counter, Histogram, Registry};
-use exactsim_service::net::ProtocolHost;
+use exactsim_service::net::{NetCounters, ProtocolHost};
 use exactsim_service::protocol::{self, codes, Outcome, ProtoError, Request};
-use exactsim_service::{AlgorithmKind, ServiceStats, ServingShape, TopKResponse};
+use exactsim_service::{AlgorithmKind, TopKResponse};
 
 use crate::backend::{ShardBackend, ShardError};
 use crate::health::{Breaker, BreakerConfig};
@@ -112,7 +112,8 @@ struct Inner {
     partition: PartitionMap,
     epoch: Arc<AtomicU64>,
     barrier: RwLock<()>,
-    net_stats: ServiceStats,
+    /// The listener's counters, registered into `metrics`.
+    net: NetCounters,
     metrics: Registry,
     counters: Counters,
     /// One circuit breaker per shard (indexes match `shards`). Shared with
@@ -270,13 +271,14 @@ impl ShardRouter {
             ),
         };
         let partition = PartitionMap::new(shards.len());
+        let net = NetCounters::register(&metrics);
         Ok(ShardRouter {
             inner: Arc::new(Inner {
                 shards,
                 partition,
                 epoch,
                 barrier: RwLock::new(()),
-                net_stats: ServiceStats::default(),
+                net,
                 metrics,
                 counters,
                 health,
@@ -356,24 +358,11 @@ impl ShardRouter {
     /// The router's `stats` reply: its own epoch/shard topology, fan-out and
     /// barrier counters, the listener's connection counters, and a
     /// `per_shard` breakdown — one JSON line, like every `stats` reply.
+    /// Consumers scan it by first match, so the key order is part of the
+    /// contract: the first `"topk"` is the one inside `fanout`.
     pub fn stats_json(&self) -> String {
         let c = &self.inner.counters;
-        let net = self.inner.net_stats.snapshot(
-            self.epoch(),
-            0,
-            0,
-            0,
-            None,
-            [None; 3],
-            ServingShape {
-                workers: 0,
-                kernel_threads: 0,
-                shards: self.num_shards(),
-            },
-            // A router holds no pages itself; each shard reports its own
-            // pool through its own `stats` verb.
-            None,
-        );
+        let net = &self.inner.net;
         let us = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
         let per_shard: Vec<String> = self
             .inner
@@ -426,12 +415,12 @@ impl ShardRouter {
             c.mixed_epoch_retries.get(),
             us(c.barrier_wait.quantile_value(0.50)),
             us(c.barrier_wait.quantile_value(0.99)),
-            net.net_requests,
-            net.connections_accepted,
-            net.connections_closed,
-            net.connections_rejected,
-            net.bytes_in,
-            net.bytes_out,
+            net.net_requests.get(),
+            net.connections_accepted.get(),
+            net.connections_closed.get(),
+            net.connections_rejected.get(),
+            net.bytes_in.get(),
+            net.bytes_out.get(),
             per_shard.join(","),
         )
     }
@@ -985,8 +974,8 @@ impl ProtocolHost for ShardRouter {
         }
     }
 
-    fn net_stats(&self) -> &ServiceStats {
-        &self.inner.net_stats
+    fn net_stats(&self) -> &NetCounters {
+        &self.inner.net
     }
 
     fn on_drain(&self) {

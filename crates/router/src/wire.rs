@@ -9,6 +9,10 @@
 //! `None`, which the gather paths surface as an `internal` protocol error
 //! rather than a wrong answer.
 //!
+//! Every scanner reads the *first* `"field":` in the line. `simrank-client`
+//! reads `stats` replies with the same scanners, which is why the key order
+//! of those replies is part of their contract.
+//!
 //! Bit-identity note: scores travel as Rust's shortest round-trip `f64`
 //! representation ([`exactsim_service::response`]), so `parse::<f64>()` here
 //! recovers the exact bits the shard computed — the gathered merge ranks the
@@ -23,7 +27,7 @@ fn after_field<'a>(json: &'a str, field: &str) -> Option<&'a str> {
     Some(&json[start..])
 }
 
-/// The unsigned integer value of a top-level `"field":123`.
+/// The unsigned integer value of the first `"field":123`.
 pub fn u64_field(json: &str, field: &str) -> Option<u64> {
     let rest = after_field(json, field)?;
     let end = rest
@@ -32,7 +36,17 @@ pub fn u64_field(json: &str, field: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-/// The string value of a top-level `"field":"value"`. Only used for values
+/// The float value of the first `"field":1.25` (exponents and signs
+/// included).
+pub fn f64_field(json: &str, field: &str) -> Option<f64> {
+    let rest = after_field(json, field)?;
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// The string value of the first `"field":"value"`. Only used for values
 /// the protocol never escapes (error codes, staged states, op names).
 pub fn str_field<'a>(json: &'a str, field: &str) -> Option<&'a str> {
     let rest = after_field(json, field)?.strip_prefix('"')?;
@@ -73,11 +87,14 @@ mod tests {
 
     #[test]
     fn scans_integer_and_string_fields() {
-        let json = "{\"epoch\":42,\"op\":\"commit\",\"advanced\":true}";
+        let json = "{\"epoch\":42,\"op\":\"commit\",\"advanced\":true,\"qps\":-1.5e3}";
         assert_eq!(u64_field(json, "epoch"), Some(42));
         assert_eq!(str_field(json, "op"), Some("commit"));
+        assert_eq!(f64_field(json, "qps"), Some(-1500.0));
+        assert_eq!(f64_field(json, "epoch"), Some(42.0));
         assert_eq!(u64_field(json, "missing"), None);
         assert_eq!(str_field(json, "missing"), None);
+        assert_eq!(f64_field(json, "missing"), None);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! | [`cache`] | sharded LRU result cache keyed by `(epoch, algorithm, source, epsilon-tier)` with generation invalidation |
 //! | `inflight` (private) | in-flight query deduplication: concurrent requests for the same key block on one computation |
 //! | [`executor`] | worker-pool batch executor (std threads + channels, no external deps) |
-//! | [`stats`] | [`ServiceStats`]: queries served, cache hit rate, p50/p99 latency from a fixed-bucket histogram, per-connection counters |
-//! | `metrics` (private) | the labeled metric families (Prometheus text exposition via the `metrics` verb) wired over [`exactsim_obs`] |
+//! | `metrics` (private) | the service's only counter store: the labeled metric families over an [`exactsim_obs`] registry (Prometheus text exposition via the `metrics` verb) |
+//! | [`stats`] | [`StatsSnapshot`]: the `stats` reply (queries by outcome, hit rate, p50/p99, connection counters) read from that registry |
 //! | [`response`] | serializable [`QueryResponse`] / [`TopKResponse`] wire types |
 //! | [`protocol`] | the line protocol itself: request grammar, parser, error codes, executor — shared by the stdin REPL, the TCP listener, and `simrank-client` |
 //! | [`net`] | TCP front-end: acceptor + per-connection handler threads bounded by a `max_conns` semaphore, graceful drain on `shutdown`/SIGTERM |
@@ -105,7 +105,7 @@ pub use net::{NetOptions, NetServerHandle, ProtocolHost};
 pub use protocol::{Outcome, ProtoError, Request};
 pub use response::{AlgorithmKind, QueryResponse, ShardTopKResponse, TopKResponse};
 pub use service::{BatchAnswer, BatchItem, BatchRequest, ServiceConfig, SimRankService};
-pub use stats::{ServiceStats, ServingShape, StatsSnapshot};
+pub use stats::StatsSnapshot;
 
 // Re-exported so protocol front-ends can drive updates and persistence
 // without naming the store crate themselves.

@@ -12,8 +12,12 @@
 //! | `simrank_queries_total` | counter | `algo`, `outcome` ∈ `hit\|miss\|dedup\|error` |
 //! | `simrank_query_latency_us` | histogram | `algo`, `outcome` ∈ `hit\|miss\|dedup` |
 //! | `simrank_query_stage_us` | histogram | `stage` ∈ `parse\|cache\|dedup\|index_build\|kernel\|serialize` |
-//! | `simrank_serve_latency_us` | histogram | — (the aggregate behind `stats` p50/p99) |
+//! | `simrank_serve_latency_us` | histogram | — (the aggregate behind `stats` p50/p99, errors included) |
 //! | `simrank_commits_total` | counter | — (effective commits only) |
+//! | `simrank_commit_requests_total` | counter | — (accepted `commit` requests, effective or not) |
+//! | `simrank_updates_staged_total` | counter | — (`addedge`/`deledge`/`addnode` requests that reached staging) |
+//! | `simrank_index_builds_total` | counter | — (PrSim/MC index builds; ExactSim is index-free) |
+//! | `simrank_epoch_refreshes_total` | counter | — (per-epoch state rebuilds after a commit) |
 //! | `simrank_commit_stage_us` | histogram | `stage` ∈ `stage\|wal_append\|fsync\|csr_merge\|publish\|cache_sweep` |
 //! | `simrank_slow_queries_total` | counter | — |
 //! | `simrank_epoch` | gauge | — |
@@ -37,16 +41,19 @@
 //! [`exactsim::counters`]), so two services in one process report the same
 //! kernel series — correct for Prometheus semantics (the scrape describes
 //! the process), just worth knowing in embedding scenarios.
+//!
+//! The registry is the service's only counter store: `stats` reads the
+//! same handles (see [`crate::SimRankService::stats`]), so the two replies
+//! cannot disagree.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 use exactsim_obs::metrics::{Counter, Histogram, Registry};
 use exactsim_store::{CommitReport, GraphStore};
 
+use crate::net::NetCounters;
 use crate::response::AlgorithmKind;
-use crate::stats::ServiceStats;
 
 /// Query outcome labels, indexed by the `OUTCOME_*` constants.
 pub(crate) const OUTCOMES: [&str; 4] = ["hit", "miss", "dedup", "error"];
@@ -113,6 +120,8 @@ pub(crate) struct ServiceMetrics {
     query_outcomes: [[Arc<Counter>; 4]; 3],
     /// `simrank_query_latency_us{algo, outcome}`, `[algo][hit|miss|dedup]`.
     query_latency: [[Arc<Histogram>; 3]; 3],
+    /// `simrank_serve_latency_us`: every finished query, errors included.
+    pub(crate) serve_latency: Arc<Histogram>,
     /// `simrank_query_stage_us{stage}`.
     query_stage: [Arc<Histogram>; 6],
     /// `simrank_commit_stage_us{stage}`.
@@ -121,11 +130,21 @@ pub(crate) struct ServiceMetrics {
     commits: Arc<Counter>,
     /// `simrank_slow_queries_total`.
     slow_queries: Arc<Counter>,
+    /// `simrank_index_builds_total`.
+    pub(crate) index_builds: Arc<Counter>,
+    /// `simrank_epoch_refreshes_total`.
+    pub(crate) epoch_refreshes: Arc<Counter>,
+    /// `simrank_updates_staged_total`.
+    pub(crate) updates_staged: Arc<Counter>,
+    /// `simrank_commit_requests_total`.
+    pub(crate) commit_requests: Arc<Counter>,
+    /// The TCP listener's connection, request, and byte series.
+    pub(crate) net: NetCounters,
 }
 
 impl ServiceMetrics {
     /// Builds the registry and eagerly registers every series.
-    pub(crate) fn new(stats: &Arc<ServiceStats>, store: &Arc<GraphStore>) -> Self {
+    pub(crate) fn new(store: &Arc<GraphStore>) -> Self {
         let registry = Registry::new();
 
         let query_outcomes = std::array::from_fn(|algo_idx| {
@@ -155,11 +174,10 @@ impl ServiceMetrics {
                 &[("stage", QUERY_STAGES[stage_idx])],
             )
         });
-        registry.register_histogram(
+        let serve_latency = registry.histogram(
             "simrank_serve_latency_us",
             "Aggregate serve latency in microseconds (all algorithms and outcomes)",
             &[],
-            Arc::clone(&stats.latency),
         );
 
         let commits = registry.counter(
@@ -186,6 +204,26 @@ impl ServiceMetrics {
             "Graph epoch currently published by the backing store",
             &[],
             move || epoch_store.epoch() as f64,
+        );
+        let index_builds = registry.counter(
+            "simrank_index_builds_total",
+            "Algorithm indices built (PrSim and MC; ExactSim is index-free)",
+            &[],
+        );
+        let epoch_refreshes = registry.counter(
+            "simrank_epoch_refreshes_total",
+            "Times the service rebuilt its per-epoch state after a commit",
+            &[],
+        );
+        let updates_staged = registry.counter(
+            "simrank_updates_staged_total",
+            "Update requests (addedge, deledge, addnode) that reached the staging area",
+            &[],
+        );
+        let commit_requests = registry.counter(
+            "simrank_commit_requests_total",
+            "Commit requests accepted, whether or not each advanced the epoch",
+            &[],
         );
 
         // Buffer-pool series exist only on paged stores: the backend is
@@ -242,64 +280,7 @@ impl ServiceMetrics {
             );
         }
 
-        // Connection/byte counters are bumped on ServiceStats by the net
-        // listener; expose them as scrape-time reads so there is exactly one
-        // bump site per event.
-        type StatReader = fn(&ServiceStats) -> u64;
-        let stat_counters: [(&str, &str, StatReader); 5] = [
-            (
-                "simrank_connections_accepted_total",
-                "TCP connections accepted",
-                |s| s.connections_accepted.load(Ordering::Relaxed),
-            ),
-            (
-                "simrank_connections_closed_total",
-                "TCP connections finished (EOF, quit, error, or drain)",
-                |s| s.connections_closed.load(Ordering::Relaxed),
-            ),
-            (
-                "simrank_connections_rejected_total",
-                "TCP connections turned away at the connection cap",
-                |s| s.connections_rejected.load(Ordering::Relaxed),
-            ),
-            (
-                "simrank_net_requests_total",
-                "Protocol requests served over TCP",
-                |s| s.net_requests.load(Ordering::Relaxed),
-            ),
-            (
-                "simrank_epoch_refreshes_total",
-                "Times the service rebuilt its per-epoch state after a commit",
-                |s| s.epoch_refreshes.load(Ordering::Relaxed),
-            ),
-        ];
-        for (name, help, read) in stat_counters {
-            let stats = Arc::clone(stats);
-            registry.counter_fn(name, help, &[], move || read(&stats));
-        }
-        for (direction, read) in [
-            (
-                "in",
-                (|s: &ServiceStats| s.bytes_in.load(Ordering::Relaxed)) as fn(&ServiceStats) -> u64,
-            ),
-            ("out", |s: &ServiceStats| {
-                s.bytes_out.load(Ordering::Relaxed)
-            }),
-        ] {
-            let stats = Arc::clone(stats);
-            registry.counter_fn(
-                "simrank_net_bytes_total",
-                "Payload bytes over TCP, by direction",
-                &[("direction", direction)],
-                move || read(&stats),
-            );
-        }
-        registry.register_histogram(
-            "simrank_requests_per_connection",
-            "Requests served per finished TCP connection (unit: requests)",
-            &[],
-            Arc::clone(&stats.requests_per_conn),
-        );
+        let net = NetCounters::register(&registry);
 
         // Kernel counters are process-global statics in the core crate.
         for (result, read) in [
@@ -341,10 +322,16 @@ impl ServiceMetrics {
             registry,
             query_outcomes,
             query_latency,
+            serve_latency,
             query_stage,
             commit_stage,
             commits,
             slow_queries,
+            index_builds,
+            epoch_refreshes,
+            updates_staged,
+            commit_requests,
+            net,
         }
     }
 
@@ -353,13 +340,25 @@ impl ServiceMetrics {
         self.registry.render()
     }
 
-    /// Records one finished query: outcome counter plus (for non-error
-    /// outcomes) the per-algorithm latency histogram.
+    /// Records one finished query: outcome counter, aggregate serve latency,
+    /// and (for non-error outcomes) the per-algorithm latency histogram.
     pub(crate) fn record_query(&self, algorithm: AlgorithmKind, outcome: usize, latency: Duration) {
         self.query_outcomes[algorithm.index()][outcome].inc();
+        self.serve_latency.record(latency);
         if outcome != OUTCOME_ERROR {
             self.query_latency[algorithm.index()][outcome].record(latency);
         }
+    }
+
+    /// `simrank_queries_total` summed over algorithms, indexed by the
+    /// `OUTCOME_*` constants.
+    pub(crate) fn outcome_totals(&self) -> [u64; 4] {
+        std::array::from_fn(|outcome| {
+            self.query_outcomes
+                .iter()
+                .map(|by_outcome| by_outcome[outcome].get())
+                .sum()
+        })
     }
 
     /// The stage histogram for one query-path stage (`STAGE_*`).

@@ -9,8 +9,9 @@
 //! acceptor). All connections multiplex onto the **one shared**
 //! [`crate::SimRankService`]: the result cache, in-flight dedup, epoch
 //! refresh, and worker pool are common across every socket and the stdin
-//! path alike, and per-connection counters land in the same
-//! [`crate::ServiceStats`].
+//! path alike. The listener's connection, request, and byte counters are
+//! one [`NetCounters`] registered into the host's metrics registry, so they
+//! show up in both its `stats` reply and its `metrics` scrape.
 //!
 //! ## Framing
 //!
@@ -38,4 +39,6 @@ mod server;
 pub mod signal;
 
 pub use client::LineClient;
-pub use server::{flush_shutdown_snapshot, serve, NetOptions, NetServerHandle, ProtocolHost};
+pub use server::{
+    flush_shutdown_snapshot, serve, NetCounters, NetOptions, NetServerHandle, ProtocolHost,
+};

@@ -10,9 +10,9 @@ use std::time::Duration;
 use crate::protocol::{self, Outcome, ProtoError};
 use crate::response::AlgorithmKind;
 use crate::service::SimRankService;
-use crate::stats::ServiceStats;
 use exactsim_obs::json::escape_json;
 use exactsim_obs::log as oplog;
+use exactsim_obs::metrics::{Counter, Histogram, Registry};
 
 /// Handlers poll the shutdown flag at this cadence between blocking reads.
 const READ_POLL: Duration = Duration::from_millis(100);
@@ -43,11 +43,76 @@ impl Default for NetOptions {
     }
 }
 
+/// The listener's connection, request, and byte counters. Each host
+/// registers one set into its own metrics registry, so its `stats` reply and
+/// its `metrics` scrape read the same atomics. A stdin-only server never
+/// bumps them.
+pub struct NetCounters {
+    /// `simrank_connections_accepted_total`.
+    pub connections_accepted: Arc<Counter>,
+    /// `simrank_connections_closed_total`: connections finished by EOF,
+    /// `quit`, an error, or the drain.
+    pub connections_closed: Arc<Counter>,
+    /// `simrank_connections_rejected_total`: connections turned away at the
+    /// `max_conns` bound.
+    pub connections_rejected: Arc<Counter>,
+    /// `simrank_net_requests_total`: protocol requests served over TCP.
+    pub net_requests: Arc<Counter>,
+    /// `simrank_net_bytes_total{direction="in"}`: request bytes, newlines
+    /// included.
+    pub bytes_in: Arc<Counter>,
+    /// `simrank_net_bytes_total{direction="out"}`: reply bytes, newlines
+    /// included.
+    pub bytes_out: Arc<Counter>,
+    /// `simrank_requests_per_connection`: requests served per finished
+    /// connection (unit: requests, not µs).
+    pub requests_per_conn: Arc<Histogram>,
+}
+
+impl NetCounters {
+    /// Registers every listener series into `registry`, at zero.
+    pub fn register(registry: &Registry) -> Self {
+        let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
+        let bytes = |direction: &str| {
+            registry.counter(
+                "simrank_net_bytes_total",
+                "Payload bytes over TCP, by direction",
+                &[("direction", direction)],
+            )
+        };
+        NetCounters {
+            connections_accepted: counter(
+                "simrank_connections_accepted_total",
+                "TCP connections accepted",
+            ),
+            connections_closed: counter(
+                "simrank_connections_closed_total",
+                "TCP connections finished (EOF, quit, error, or drain)",
+            ),
+            connections_rejected: counter(
+                "simrank_connections_rejected_total",
+                "TCP connections turned away at the connection cap",
+            ),
+            net_requests: counter(
+                "simrank_net_requests_total",
+                "Protocol requests served over TCP",
+            ),
+            bytes_in: bytes("in"),
+            bytes_out: bytes("out"),
+            requests_per_conn: registry.histogram(
+                "simrank_requests_per_connection",
+                "Requests served per finished TCP connection (unit: requests)",
+                &[],
+            ),
+        }
+    }
+}
+
 /// A front-end the TCP listener can serve. The plain [`SimRankService`]
 /// implements it (one process, one graph); the router crate implements it
 /// over a shard fan-out. Implementations answer whole request lines and
-/// expose a [`ServiceStats`] for the listener to account connections and
-/// bytes against, so `stats` replies look the same whichever host answers.
+/// expose the [`NetCounters`] the listener accounts connections and bytes
+/// against.
 pub trait ProtocolHost: Send + Sync + 'static {
     /// Answers one trimmed, non-empty request line. `None` means "no reply"
     /// (the stdin front-end's blank-line behaviour); the TCP listener treats
@@ -55,7 +120,7 @@ pub trait ProtocolHost: Send + Sync + 'static {
     fn serve_line(&self, default_algo: AlgorithmKind, line: &str) -> Option<Outcome>;
 
     /// The counters the listener bumps for connections, requests, and bytes.
-    fn net_stats(&self) -> &ServiceStats;
+    fn net_stats(&self) -> &NetCounters;
 
     /// Runs once after the acceptor and every handler have drained (durable
     /// snapshot flush, shard drain fan-out, ...).
@@ -67,8 +132,8 @@ impl ProtocolHost for SimRankService {
         protocol::serve_line(self, default_algo, line)
     }
 
-    fn net_stats(&self) -> &ServiceStats {
-        self.raw_stats()
+    fn net_stats(&self) -> &NetCounters {
+        &self.metrics().net
     }
 
     fn on_drain(&self) {
@@ -113,7 +178,7 @@ struct Shared<H: ProtocolHost> {
 }
 
 impl<H: ProtocolHost> Shared<H> {
-    fn stats(&self) -> &ServiceStats {
+    fn stats(&self) -> &NetCounters {
         self.host.net_stats()
     }
 }
@@ -201,11 +266,11 @@ fn accept_loop<H: ProtocolHost>(listener: TcpListener, shared: Arc<Shared<H>>) {
                     continue;
                 }
                 if !shared.permits.try_acquire() {
-                    ServiceStats::bump(&shared.stats().connections_rejected);
+                    shared.stats().connections_rejected.inc();
                     reject_at_capacity(stream, shared.options.max_conns);
                     continue;
                 }
-                ServiceStats::bump(&shared.stats().connections_accepted);
+                shared.stats().connections_accepted.inc();
                 let conn_shared = Arc::clone(&shared);
                 let spawned = std::thread::Builder::new()
                     .name(format!("simrank-conn-{peer}"))
@@ -215,14 +280,14 @@ fn accept_loop<H: ProtocolHost>(listener: TcpListener, shared: Arc<Shared<H>>) {
                         // exit path (EOF, quit, error, drain) — the handler
                         // owns its permit for its whole lifetime.
                         conn_shared.permits.release();
-                        ServiceStats::bump(&conn_shared.stats().connections_closed);
+                        conn_shared.stats().connections_closed.inc();
                     });
                 match spawned {
                     Ok(handle) => handlers.push(handle),
                     Err(_) => {
                         // Could not spawn a thread: undo the accept.
                         shared.permits.release();
-                        ServiceStats::bump(&shared.stats().connections_closed);
+                        shared.stats().connections_closed.inc();
                     }
                 }
                 handlers.retain(|h| !h.is_finished());
@@ -306,10 +371,7 @@ fn handle_connection<H: ProtocolHost>(stream: &TcpStream, shared: &Shared<H>) {
         match reader.read_until(b'\n', &mut buf) {
             Ok(0) => break, // EOF
             Ok(n) => {
-                shared
-                    .stats()
-                    .bytes_in
-                    .fetch_add(n as u64, Ordering::Relaxed);
+                shared.stats().bytes_in.add(n as u64);
                 // Also the exhausted-limit case: the limit is one past the
                 // cap, so an over-long line trips this before a newline.
                 if buf.len() > MAX_LINE_BYTES {
@@ -342,7 +404,7 @@ fn handle_connection<H: ProtocolHost>(stream: &TcpStream, shared: &Shared<H>) {
     shared.stats().requests_per_conn.record_value(requests);
 }
 
-fn oversized_line(writer: &mut BufWriter<&TcpStream>, stats: &ServiceStats) {
+fn oversized_line(writer: &mut BufWriter<&TcpStream>, stats: &NetCounters) {
     let error = ProtoError::bad_request(format!(
         "request line exceeds {MAX_LINE_BYTES} bytes; closing connection"
     ));
@@ -361,7 +423,7 @@ fn serve_one<H: ProtocolHost>(
     if trimmed.is_empty() || trimmed.starts_with('#') {
         return false;
     }
-    ServiceStats::bump(&shared.stats().net_requests);
+    shared.stats().net_requests.inc();
     *requests += 1;
     // The in-flight leader re-raises computation panics (after waking its
     // followers); over TCP that must cost an `internal` error reply, not the
@@ -397,10 +459,8 @@ fn serve_one<H: ProtocolHost>(
 }
 
 /// Writes one reply line; returns `true` (stop serving) on a dead socket.
-fn write_reply(writer: &mut BufWriter<&TcpStream>, stats: &ServiceStats, reply: &str) -> bool {
-    stats
-        .bytes_out
-        .fetch_add(reply.len() as u64 + 1, Ordering::Relaxed);
+fn write_reply(writer: &mut BufWriter<&TcpStream>, stats: &NetCounters, reply: &str) -> bool {
+    stats.bytes_out.add(reply.len() as u64 + 1);
     if writeln!(writer, "{reply}").is_err() {
         return true;
     }
@@ -409,10 +469,8 @@ fn write_reply(writer: &mut BufWriter<&TcpStream>, stats: &ServiceStats, reply: 
 
 /// Writes one multi-line payload (already newline-terminated — the `metrics`
 /// exposition); returns `true` on a dead socket.
-fn write_text(writer: &mut BufWriter<&TcpStream>, stats: &ServiceStats, payload: &str) -> bool {
-    stats
-        .bytes_out
-        .fetch_add(payload.len() as u64, Ordering::Relaxed);
+fn write_text(writer: &mut BufWriter<&TcpStream>, stats: &NetCounters, payload: &str) -> bool {
+    stats.bytes_out.add(payload.len() as u64);
     if writer.write_all(payload.as_bytes()).is_err() {
         return true;
     }

@@ -661,7 +661,7 @@ pub fn execute(
             };
             match result {
                 Ok(staged) => {
-                    crate::stats::ServiceStats::bump(&service.raw_stats().updates_staged);
+                    service.metrics().updates_staged.inc();
                     let staged = match staged {
                         exactsim_store::Staged::Pending => "pending",
                         exactsim_store::Staged::Cancelled => "cancelled",
@@ -677,7 +677,7 @@ pub fn execute(
         }
         Request::AddNode { count } => match service.store().stage_add_nodes(*count) {
             Ok(pending_nodes) => {
-                crate::stats::ServiceStats::bump(&service.raw_stats().updates_staged);
+                service.metrics().updates_staged.inc();
                 Outcome::Reply(format!(
                     "{{\"op\":\"addnode\",\"staged\":\"pending\",\"added\":{count},\"pending_nodes\":{pending_nodes}}}"
                 ))
@@ -686,7 +686,7 @@ pub fn execute(
         },
         Request::Commit => match service.commit() {
             Ok(report) => {
-                crate::stats::ServiceStats::bump(&service.raw_stats().commit_requests);
+                service.metrics().commit_requests.inc();
                 Outcome::Reply(format!(
                 "{{\"op\":\"commit\",\"epoch\":{},\"advanced\":{},\"edges_inserted\":{},\"edges_deleted\":{},\"nodes_added\":{},\"num_edges\":{},\"build_us\":{}}}",
                 report.epoch,

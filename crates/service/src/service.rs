@@ -43,6 +43,7 @@ use exactsim::suite::{
 };
 use exactsim::SimRankError;
 use exactsim_graph::{DiGraph, NodeId};
+use exactsim_obs::metrics::Counter;
 use exactsim_obs::slowlog::SlowLog;
 use exactsim_obs::trace;
 use exactsim_store::GraphHandle;
@@ -57,7 +58,7 @@ use crate::metrics::{
     OUTCOME_MISS, STAGE_CACHE, STAGE_DEDUP, STAGE_INDEX_BUILD, STAGE_KERNEL,
 };
 use crate::response::{AlgorithmKind, QueryResponse, ShardTopKResponse, TopKResponse};
-use crate::stats::{ServiceStats, ServingShape, StatsSnapshot};
+use crate::stats::{share, StatsSnapshot};
 use exactsim_graph::partition::PartitionMap;
 
 /// A `'static`, thread-safe, shareable algorithm handle.
@@ -188,7 +189,7 @@ impl EpochState {
         &self,
         kind: AlgorithmKind,
         config: &ServiceConfig,
-        stats: &ServiceStats,
+        index_builds: &Counter,
     ) -> Result<AlgorithmHandle, ServiceError> {
         let cell = &self.algorithms[kind.index()];
         cell.get_or_init(|| {
@@ -201,11 +202,11 @@ impl EpochState {
                         as AlgorithmHandle
                 }
                 AlgorithmKind::PrSim => {
-                    ServiceStats::bump(&stats.index_builds);
+                    index_builds.inc();
                     Arc::new(PrSimAlgorithm::build(graph, config.prsim)?) as AlgorithmHandle
                 }
                 AlgorithmKind::MonteCarlo => {
-                    ServiceStats::bump(&stats.index_builds);
+                    index_builds.inc();
                     Arc::new(MonteCarloAlgorithm::build(graph, config.mc)?) as AlgorithmHandle
                 }
             })
@@ -238,9 +239,7 @@ struct Inner {
     state: RwLock<Arc<EpochState>>,
     cache: ShardedLruCache,
     inflight: InflightTable,
-    /// Behind `Arc` so the metrics registry's scrape-time closures can read
-    /// the same counters the hot path bumps.
-    stats: Arc<ServiceStats>,
+    /// Every counter of the service; `stats` reads it too.
     metrics: ServiceMetrics,
     slowlog: SlowLog,
 }
@@ -274,7 +273,7 @@ impl Inner {
                 );
                 self.cache.clear();
             }
-            ServiceStats::bump(&self.stats.epoch_refreshes);
+            self.metrics.epoch_refreshes.inc();
         }
         Arc::clone(&state)
     }
@@ -299,21 +298,18 @@ impl Inner {
         // atomic load and must not pollute the build-stage histogram (and a
         // traced cache-hit query must show no index/kernel stages at all).
         let handle = if state.algorithms[algorithm.index()].get().is_some() {
-            state.handle(algorithm, &self.config, &self.stats)?
+            state.handle(algorithm, &self.config, &self.metrics.index_builds)?
         } else {
             let _build = trace::stage(
                 "index_build",
                 Some(self.metrics.query_stage(STAGE_INDEX_BUILD)),
             );
-            state.handle(algorithm, &self.config, &self.stats)?
+            state.handle(algorithm, &self.config, &self.metrics.index_builds)?
         };
         let output = {
             let _kernel = trace::stage("kernel", Some(self.metrics.query_stage(STAGE_KERNEL)));
             handle.query(source)?
         };
-        // Counted only on success so that
-        // queries = cache_hits + dedup_joins + computations + errors.
-        ServiceStats::bump(&self.stats.computations);
         Ok(Arc::new(QueryResponse::from_output(
             algorithm,
             state.epoch,
@@ -322,8 +318,10 @@ impl Inner {
         )))
     }
 
-    /// Closes the books on one query: aggregate latency, the labeled
-    /// outcome/latency series, and the slow-query ring. The request string is
+    /// Closes the books on one query: the outcome counter, the latency
+    /// series, and the slow-query ring. Every query ends here exactly once,
+    /// which is what makes `queries` the sum of its outcomes. The request
+    /// string is
     /// built lazily — only queries that cross the slowlog threshold pay for
     /// the formatting.
     fn finish_query(
@@ -334,7 +332,6 @@ impl Inner {
         started: Instant,
     ) {
         let elapsed = started.elapsed();
-        self.stats.latency.record(elapsed);
         self.metrics.record_query(algorithm, outcome, elapsed);
         let recorded = self
             .slowlog
@@ -352,7 +349,6 @@ impl Inner {
         source: NodeId,
     ) -> Result<Arc<QueryResponse>, ServiceError> {
         let serve_start = Instant::now();
-        ServiceStats::bump(&self.stats.queries);
         // Captured once: cache key, index, and computation all use this
         // epoch's snapshot, so one answer never mixes two graphs.
         let state = self.current_state();
@@ -363,7 +359,6 @@ impl Inner {
             self.cache.get(&key)
         };
         if let Some(hit) = cached {
-            ServiceStats::bump(&self.stats.cache_hits);
             self.finish_query(algorithm, source, OUTCOME_HIT, serve_start);
             return Ok(hit);
         }
@@ -373,7 +368,6 @@ impl Inner {
                 // Double-check the cache: between our miss and winning the
                 // lead, the previous leader may have inserted and retired.
                 if let Some(hit) = self.cache.get(&key) {
-                    ServiceStats::bump(&self.stats.cache_hits);
                     self.inflight.complete(&key, &slot, Ok(Arc::clone(&hit)));
                     self.finish_query(algorithm, source, OUTCOME_HIT, serve_start);
                     return Ok(hit);
@@ -391,9 +385,6 @@ impl Inner {
                             &slot,
                             Err(ServiceError::Internal("computation panicked".into())),
                         );
-                        // Keep the books balanced (queries = hits + joins +
-                        // computations + errors) even on the unwind path.
-                        ServiceStats::bump(&self.stats.errors);
                         self.finish_query(algorithm, source, OUTCOME_ERROR, serve_start);
                         std::panic::resume_unwind(payload);
                     }
@@ -418,14 +409,10 @@ impl Inner {
                     let _join = trace::stage("dedup", Some(self.metrics.query_stage(STAGE_DEDUP)));
                     slot.wait()
                 };
-                if result.is_ok() {
-                    ServiceStats::bump(&self.stats.dedup_joins);
-                }
                 (result, OUTCOME_DEDUP)
             }
         };
         let outcome = if result.is_err() {
-            ServiceStats::bump(&self.stats.errors);
             OUTCOME_ERROR
         } else {
             outcome
@@ -483,11 +470,10 @@ impl SimRankService {
             config.workers
         };
         let cache = ShardedLruCache::new(config.cache_capacity, config.cache_shards);
-        let stats = Arc::new(ServiceStats::new());
         // Registered before the first query so a scrape of an idle service
         // already exposes every series at zero (Prometheus rate() needs the
         // first sample to exist).
-        let metrics = ServiceMetrics::new(&stats, &store);
+        let metrics = ServiceMetrics::new(&store);
         let slowlog = SlowLog::new(config.slowlog_capacity, config.slowlog_threshold);
         Ok(SimRankService {
             inner: Arc::new(Inner {
@@ -496,7 +482,6 @@ impl SimRankService {
                 state: RwLock::new(Arc::new(EpochState::new(snapshot))),
                 cache,
                 inflight: InflightTable::new(),
-                stats,
                 metrics,
                 slowlog,
             }),
@@ -677,41 +662,67 @@ impl SimRankService {
         items
     }
 
-    /// A point-in-time snapshot of the serving counters, including the
-    /// backing store's durability state (data dir, WAL length, snapshot
-    /// epoch) when it has one, and the per-algorithm index memory of the
-    /// epoch state currently serving (without forcing an epoch refresh).
+    /// A point-in-time snapshot of the serving counters, read from the
+    /// same registry the `metrics` scrape renders, plus the backing store's
+    /// durability state (data dir, WAL length, snapshot epoch) when it has
+    /// one, and the per-algorithm index memory of the epoch state currently
+    /// serving (without forcing an epoch refresh). Individual counters are
+    /// exact; ratios between them can be off by in-flight queries.
     pub fn stats(&self) -> StatsSnapshot {
-        let index_memory = {
+        let index_memory_bytes = {
             let state = self.inner.state.read().expect("epoch state poisoned");
             state.index_memory_bytes()
         };
-        self.inner.stats.snapshot(
-            self.inner.store.epoch(),
-            self.inner.cache.evictions(),
-            self.inner.cache.invalidations(),
-            self.inner.cache.len(),
-            self.inner.store.durability(),
-            index_memory,
-            ServingShape {
-                workers: self.pool.threads(),
-                kernel_threads: self.inner.config.exactsim.simrank.threads,
-                shards: 1,
-            },
-            self.inner.store.pool_stats(),
-        )
+        let m = &self.inner.metrics;
+        let [cache_hits, computations, dedup_joins, errors] = m.outcome_totals();
+        let queries = cache_hits + computations + dedup_joins + errors;
+        let net = &m.net;
+        let (accepted, rejected) = (
+            net.connections_accepted.get(),
+            net.connections_rejected.get(),
+        );
+        let durability = self.inner.store.durability();
+        StatsSnapshot {
+            epoch: self.inner.store.epoch(),
+            workers: self.pool.threads(),
+            kernel_threads: self.inner.config.exactsim.simrank.threads,
+            pool: self.inner.store.pool_stats(),
+            data_dir: durability
+                .as_ref()
+                .map(|d| d.data_dir.display().to_string()),
+            wal_len: durability.as_ref().map(|d| d.wal_records),
+            last_snapshot_epoch: durability.as_ref().map(|d| d.last_snapshot_epoch),
+            queries,
+            cache_hits,
+            dedup_joins,
+            computations,
+            index_builds: m.index_builds.get(),
+            errors,
+            epoch_refreshes: m.epoch_refreshes.get(),
+            updates_staged: m.updates_staged.get(),
+            commit_requests: m.commit_requests.get(),
+            evictions: self.inner.cache.evictions(),
+            invalidations: self.inner.cache.invalidations(),
+            cached_entries: self.inner.cache.len(),
+            hit_rate: share(cache_hits + dedup_joins, queries),
+            index_memory_bytes,
+            p50: m.serve_latency.quantile(0.50),
+            p99: m.serve_latency.quantile(0.99),
+            latency_saturated: m.serve_latency.saturated(),
+            connections_accepted: accepted,
+            connections_closed: net.connections_closed.get(),
+            connections_rejected: rejected,
+            shed_rate: share(rejected, accepted + rejected),
+            net_requests: net.net_requests.get(),
+            bytes_in: net.bytes_in.get(),
+            bytes_out: net.bytes_out.get(),
+            requests_per_conn_p50: net.requests_per_conn.quantile_value(0.50),
+        }
     }
 
     /// Number of keys currently being computed (diagnostics).
     pub fn in_flight(&self) -> usize {
         self.inner.inflight.len()
-    }
-
-    /// The live counters, for in-crate front-ends (the `net` listener bumps
-    /// its per-connection counters here so `stats` replies are uniform
-    /// across the stdin and TCP paths).
-    pub(crate) fn raw_stats(&self) -> &ServiceStats {
-        &self.inner.stats
     }
 
     /// Renders every registered metric family in Prometheus text exposition
@@ -727,7 +738,8 @@ impl SimRankService {
     }
 
     /// The labeled metrics registry wrapper, for in-crate front-ends that
-    /// record protocol-level stages (parse, serialize).
+    /// record protocol-level stages (parse, serialize), write requests, and
+    /// listener traffic.
     pub(crate) fn metrics(&self) -> &ServiceMetrics {
         &self.inner.metrics
     }

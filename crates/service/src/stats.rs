@@ -1,169 +1,23 @@
-//! Service observability: counters and a fixed-bucket latency histogram.
+//! The `stats` reply: a point-in-time [`StatsSnapshot`] of one service.
 //!
-//! Everything is lock-free (`AtomicU64` with relaxed ordering): recording a
-//! served query must never contend with other queries. Quantiles come from a
-//! power-of-two-bucketed histogram over microseconds — p50/p99 are resolved
-//! to the upper bound of the containing bucket, i.e. within a factor of two,
-//! which is the standard fixed-memory trade-off (HdrHistogram-lite).
-//!
-//! The histogram primitive itself lives in [`exactsim_obs::metrics`] (it is
-//! re-exported here as [`LatencyHistogram`]); the labeled per-algorithm /
-//! per-stage series and the Prometheus exposition live in the service's
-//! `metrics` module, leaving this module as the aggregate snapshot the
-//! `stats` protocol verb reports.
+//! Every counter in it is read from the service's metrics registry (the
+//! `metrics` module), so `stats` and `metrics` always agree. Latency
+//! quantiles come from the power-of-two bucketed
+//! [`exactsim_obs::metrics::Histogram`]: p50/p99 are bucket upper bounds,
+//! within a factor of two of the true quantile.
 
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use exactsim_store::{DurabilityInfo, PoolStats};
+use exactsim_obs::json::escape_json;
+use exactsim_store::PoolStats;
 
-// The histogram primitive and the JSON escaping helper both moved to the
-// workspace-wide `exactsim-obs` crate (so the store, the kernels, and the
-// metrics registry can share them); they are re-exported here under their
-// historical names for the service API.
-pub use exactsim_obs::json::escape_json;
-pub use exactsim_obs::metrics::{Histogram as LatencyHistogram, SATURATION_BOUND_US};
-
-/// Live counters of a [`crate::SimRankService`].
-///
-/// Latency quantiles come from a [`LatencyHistogram`]: bucket `0` is sub-µs,
-/// bucket `i ≥ 1` covers `[2^(i-1), 2^i)` µs, and the reported p50/p99 are
-/// bucket *upper* bounds (within 2× of the true quantile). Observations past
-/// the top bucket (`≥ 2^39 µs`) saturate into an explicit counter surfaced
-/// as [`StatsSnapshot::latency_saturated`] instead of being folded into the
-/// top bucket.
-///
-/// The `connections_*` / `net_requests` counters are bumped by the
-/// [`crate::net`] listener; on a stdin-only server they stay zero.
-#[derive(Default)]
-pub struct ServiceStats {
-    pub(crate) queries: AtomicU64,
-    pub(crate) cache_hits: AtomicU64,
-    pub(crate) dedup_joins: AtomicU64,
-    pub(crate) computations: AtomicU64,
-    pub(crate) index_builds: AtomicU64,
-    pub(crate) errors: AtomicU64,
-    pub(crate) epoch_refreshes: AtomicU64,
-    /// `addedge`/`deledge` requests that staged (or cancelled/no-op'd) an
-    /// update — the write half of a scenario's read/write mix.
-    pub(crate) updates_staged: AtomicU64,
-    /// `commit` requests accepted (whether or not they advanced the epoch).
-    pub(crate) commit_requests: AtomicU64,
-    pub(crate) connections_accepted: AtomicU64,
-    pub(crate) connections_closed: AtomicU64,
-    pub(crate) connections_rejected: AtomicU64,
-    pub(crate) net_requests: AtomicU64,
-    /// Payload bytes read from TCP connections (request lines incl. newline).
-    pub(crate) bytes_in: AtomicU64,
-    /// Payload bytes written to TCP connections (reply lines incl. newline).
-    pub(crate) bytes_out: AtomicU64,
-    /// Histograms live behind `Arc` so the metrics registry can expose the
-    /// same buckets that back the snapshot quantiles — one source of truth.
-    pub(crate) latency: Arc<LatencyHistogram>,
-    /// Requests served per TCP connection (recorded when each closes) — the
-    /// keep-alive effectiveness distribution.
-    pub(crate) requests_per_conn: Arc<LatencyHistogram>,
-}
-
-/// The statically-configured serving topology, reported explicitly by the
-/// `stats` verb so operators never have to re-derive it from boot flags:
-/// how many batch workers the service runs, how many threads the ExactSim
-/// kernel uses per query, and how many shards the deployment has (always 1
-/// for a plain single-process service; a router reports its real width).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServingShape {
-    /// Batch-executor worker threads (resolved, not the `0 = per-core` flag).
-    pub workers: usize,
-    /// ExactSim kernel threads per query (`SimRankConfig::threads`).
-    pub kernel_threads: usize,
-    /// Shards behind this endpoint (1 unless answered by a router).
-    pub shards: usize,
-}
-
-impl Default for ServingShape {
-    fn default() -> Self {
-        ServingShape {
-            workers: 0,
-            kernel_threads: 1,
-            shards: 1,
-        }
-    }
-}
-
-impl ServiceStats {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a consistent-enough snapshot (individual counters are exact;
-    /// ratios between them can be off by in-flight queries).
-    #[allow(clippy::too_many_arguments)] // one call site per host, all named state
-    pub fn snapshot(
-        &self,
-        epoch: u64,
-        evictions: u64,
-        invalidations: u64,
-        cached_entries: usize,
-        durability: Option<DurabilityInfo>,
-        index_memory_bytes: [Option<u64>; 3],
-        shape: ServingShape,
-        pool: Option<PoolStats>,
-    ) -> StatsSnapshot {
-        let queries = self.queries.load(Ordering::Relaxed);
-        let cache_hits = self.cache_hits.load(Ordering::Relaxed);
-        let dedup_joins = self.dedup_joins.load(Ordering::Relaxed);
-        let connections_accepted = self.connections_accepted.load(Ordering::Relaxed);
-        let connections_rejected = self.connections_rejected.load(Ordering::Relaxed);
-        StatsSnapshot {
-            epoch,
-            shape,
-            pool,
-            data_dir: durability
-                .as_ref()
-                .map(|d| d.data_dir.display().to_string()),
-            wal_len: durability.as_ref().map(|d| d.wal_records),
-            last_snapshot_epoch: durability.as_ref().map(|d| d.last_snapshot_epoch),
-            queries,
-            cache_hits,
-            dedup_joins,
-            computations: self.computations.load(Ordering::Relaxed),
-            index_builds: self.index_builds.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            epoch_refreshes: self.epoch_refreshes.load(Ordering::Relaxed),
-            updates_staged: self.updates_staged.load(Ordering::Relaxed),
-            commit_requests: self.commit_requests.load(Ordering::Relaxed),
-            evictions,
-            invalidations,
-            cached_entries,
-            hit_rate: if queries == 0 {
-                0.0
-            } else {
-                (cache_hits + dedup_joins) as f64 / queries as f64
-            },
-            index_memory_bytes,
-            p50: self.latency.quantile(0.50),
-            p99: self.latency.quantile(0.99),
-            latency_saturated: self.latency.saturated(),
-            connections_accepted,
-            connections_closed: self.connections_closed.load(Ordering::Relaxed),
-            connections_rejected,
-            shed_rate: if connections_accepted + connections_rejected == 0 {
-                0.0
-            } else {
-                connections_rejected as f64 / (connections_accepted + connections_rejected) as f64
-            },
-            net_requests: self.net_requests.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            requests_per_conn_p50: self.requests_per_conn.quantile_value(0.50),
-        }
+/// `part / whole`, or 0 when `whole` is 0 (the `hit_rate` and `shed_rate`
+/// of an idle service).
+pub(crate) fn share(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 
@@ -172,10 +26,10 @@ impl ServiceStats {
 pub struct StatsSnapshot {
     /// The graph epoch the service is currently serving.
     pub epoch: u64,
-    /// The configured serving topology (worker threads, kernel threads,
-    /// shard count) — explicit so operators read it instead of inferring it
-    /// from the boot flags.
-    pub shape: ServingShape,
+    /// Batch-executor worker threads (resolved, not the `0 = per-core` flag).
+    pub workers: usize,
+    /// ExactSim kernel threads per query (`SimRankConfig::threads`).
+    pub kernel_threads: usize,
     /// Buffer-pool counters of the paged storage backend (`None` when the
     /// store serves from the in-memory CSR). `hits`/`misses`/`evictions` are
     /// monotonic across epochs — the pool outlives page files.
@@ -188,13 +42,15 @@ pub struct StatsSnapshot {
     pub wal_len: Option<u64>,
     /// Epoch of the newest on-disk snapshot file (`None` when not durable).
     pub last_snapshot_epoch: Option<u64>,
-    /// Queries served (hits + joins + computations + errors).
+    /// Queries finished: the sum of `simrank_queries_total` over every
+    /// outcome, so it equals hits + joins + computations + errors.
     pub queries: u64,
     /// Queries answered from the result cache.
     pub cache_hits: u64,
     /// Queries that joined an in-flight computation instead of recomputing.
     pub dedup_joins: u64,
-    /// Underlying single-source computations actually performed.
+    /// Underlying single-source computations that succeeded (the `miss`
+    /// outcome).
     pub computations: u64,
     /// Algorithm indices built (lazily, at most one per algorithm).
     pub index_builds: u64,
@@ -241,8 +97,8 @@ pub struct StatsSnapshot {
     /// — the fraction of offered connections the listener load-shed. Zero
     /// before any connection attempt (and always zero without a listener).
     pub shed_rate: f64,
-    /// Protocol requests served over TCP connections (a subset of the
-    /// activity in `queries`: updates/stats/etc. count here too).
+    /// Protocol requests served over TCP connections (updates, `stats` and
+    /// the like count here too, not only queries).
     pub net_requests: u64,
     /// Payload bytes read from TCP connections (request lines, newlines
     /// included). Zero without a network listener.
@@ -260,7 +116,10 @@ impl StatsSnapshot {
     /// Serializes to one line of JSON for the `stats` protocol command
     /// (hand-rolled like [`crate::response`]; the offline build has no
     /// serde). Latencies are microsecond bucket upper bounds, `null` before
-    /// the first served query.
+    /// the first served query. A single service always reports
+    /// `"shards":1`; only a router reports a real width, in its own reply.
+    /// Consumers scan the line by first match, so the key order is part of
+    /// the contract.
     pub fn to_json(&self) -> String {
         let us = |d: Option<Duration>| match d {
             Some(d) => d.as_micros().to_string(),
@@ -293,7 +152,7 @@ impl StatsSnapshot {
         };
         format!(
             concat!(
-                "{{\"epoch\":{},\"shards\":{},\"workers\":{},\"kernel_threads\":{},",
+                "{{\"epoch\":{},\"shards\":1,\"workers\":{},\"kernel_threads\":{},",
                 "\"queries\":{},\"cache_hits\":{},\"dedup_joins\":{},",
                 "\"computations\":{},\"index_builds\":{},\"errors\":{},",
                 "\"epoch_refreshes\":{},\"updates_staged\":{},\"commit_requests\":{},",
@@ -309,9 +168,8 @@ impl StatsSnapshot {
                 "\"data_dir\":{},\"wal_len\":{},\"last_snapshot_epoch\":{}}}"
             ),
             self.epoch,
-            self.shape.shards,
-            self.shape.workers,
-            self.shape.kernel_threads,
+            self.workers,
+            self.kernel_threads,
             self.queries,
             self.cache_hits,
             self.dedup_joins,
@@ -347,438 +205,226 @@ impl StatsSnapshot {
     }
 }
 
-impl fmt::Display for StatsSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "graph epoch:        {}", self.epoch)?;
-        writeln!(
-            f,
-            "topology:           {} shard(s), {} workers, {} kernel thread(s)",
-            self.shape.shards, self.shape.workers, self.shape.kernel_threads
-        )?;
-        writeln!(f, "queries served:     {}", self.queries)?;
-        writeln!(
-            f,
-            "cache hit rate:     {:.1}% ({} hits, {} dedup joins)",
-            self.hit_rate * 100.0,
-            self.cache_hits,
-            self.dedup_joins
-        )?;
-        writeln!(f, "computations:       {}", self.computations)?;
-        writeln!(f, "index builds:       {}", self.index_builds)?;
-        writeln!(
-            f,
-            "cache:              {} entries resident, {} evicted, {} invalidated",
-            self.cached_entries, self.evictions, self.invalidations
-        )?;
-        writeln!(f, "epoch refreshes:    {}", self.epoch_refreshes)?;
-        if self.updates_staged > 0 || self.commit_requests > 0 {
-            writeln!(
-                f,
-                "writes:             {} updates staged, {} commits",
-                self.updates_staged, self.commit_requests
-            )?;
-        }
-        let mem = |v: Option<u64>| match v {
-            Some(bytes) => format!("{bytes} B"),
-            None => "unbuilt".to_string(),
-        };
-        writeln!(
-            f,
-            "index memory:       exactsim {}, prsim {}, mc {}",
-            mem(self.index_memory_bytes[0]),
-            mem(self.index_memory_bytes[1]),
-            mem(self.index_memory_bytes[2])
-        )?;
-        writeln!(f, "errors:             {}", self.errors)?;
-        if self.connections_accepted > 0 || self.connections_rejected > 0 {
-            writeln!(
-                f,
-                "tcp connections:    {} accepted, {} live, {} rejected ({:.1}% shed), {} requests",
-                self.connections_accepted,
-                self.connections_accepted
-                    .saturating_sub(self.connections_closed),
-                self.connections_rejected,
-                self.shed_rate * 100.0,
-                self.net_requests
-            )?;
-            let per_conn = match self.requests_per_conn_p50 {
-                Some(p50) => format!(", <= {p50} requests/conn (p50)"),
-                None => String::new(),
-            };
-            writeln!(
-                f,
-                "tcp bytes:          {} in, {} out{per_conn}",
-                self.bytes_in, self.bytes_out
-            )?;
-        }
-        if let Some(p) = &self.pool {
-            writeln!(
-                f,
-                "buffer pool:        {}/{} pages resident ({} pinned), {:.1}% hit rate, {} evictions",
-                p.resident,
-                p.capacity,
-                p.pinned,
-                p.hit_rate() * 100.0,
-                p.evictions
-            )?;
-        }
-        match (&self.data_dir, self.wal_len, self.last_snapshot_epoch) {
-            (Some(dir), Some(wal), Some(snap)) => writeln!(
-                f,
-                "durability:         {dir} (wal {wal} records, snapshot at epoch {snap})"
-            )?,
-            _ => writeln!(f, "durability:         in-memory (no data dir)")?,
-        }
-        let fmt_latency = |d: Option<Duration>| match d {
-            Some(d) => format!("<= {d:?}"),
-            None => "n/a".to_string(),
-        };
-        writeln!(f, "latency p50:        {}", fmt_latency(self.p50))?;
-        write!(f, "latency p99:        {}", fmt_latency(self.p99))?;
-        if self.latency_saturated > 0 {
-            write!(
-                f,
-                "\nlatency saturated:  {} observations past the top bucket",
-                self.latency_saturated
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exactsim_obs::metrics::Histogram;
+
+    /// A snapshot with every optional field set and distinct values, so the
+    /// rendered line pins each key, its position, and its formatting.
+    fn busy() -> StatsSnapshot {
+        StatsSnapshot {
+            epoch: 7,
+            workers: 4,
+            kernel_threads: 2,
+            pool: Some(PoolStats {
+                capacity: 64,
+                resident: 64,
+                pinned: 2,
+                hits: 900,
+                misses: 100,
+                evictions: 36,
+            }),
+            data_dir: Some("/var/lib/simrank \"x\"".to_string()),
+            wal_len: Some(12),
+            last_snapshot_epoch: Some(3),
+            queries: 10,
+            cache_hits: 6,
+            dedup_joins: 3,
+            computations: 1,
+            index_builds: 2,
+            errors: 0,
+            epoch_refreshes: 2,
+            updates_staged: 12,
+            commit_requests: 3,
+            evictions: 5,
+            invalidations: 4,
+            cached_entries: 5,
+            hit_rate: share(6 + 3, 10),
+            index_memory_bytes: [Some(0), Some(4096), None],
+            p50: Some(Duration::from_micros(128)),
+            p99: Some(Duration::from_micros(1024)),
+            latency_saturated: 1,
+            connections_accepted: 5,
+            connections_closed: 3,
+            connections_rejected: 2,
+            shed_rate: share(2, 5 + 2),
+            net_requests: 40,
+            bytes_in: 120,
+            bytes_out: 4096,
+            requests_per_conn_p50: Some(4),
+        }
+    }
+
+    /// The same snapshot with every optional value absent: idle, in-memory,
+    /// unpaged, before any query or finished connection.
+    fn idle() -> StatsSnapshot {
+        StatsSnapshot {
+            pool: None,
+            data_dir: None,
+            wal_len: None,
+            last_snapshot_epoch: None,
+            index_memory_bytes: [None; 3],
+            p50: None,
+            p99: None,
+            requests_per_conn_p50: None,
+            hit_rate: share(0, 0),
+            shed_rate: share(0, 0),
+            ..busy()
+        }
+    }
+
+    fn assert_contains(json: &str, fragments: &[&str]) {
+        for fragment in fragments {
+            assert!(json.contains(fragment), "{fragment} missing from {json}");
+        }
+    }
 
     #[test]
-    fn histogram_buckets_by_powers_of_two() {
-        let h = LatencyHistogram::default();
-        assert_eq!(h.quantile(0.5), None);
-        for us in [0u64, 1, 2, 3, 100, 1000, 100_000] {
-            h.record(Duration::from_micros(us));
-        }
-        assert_eq!(h.count(), 7);
-        // Median of {0,1,2,3,100,1000,100000} µs is 3 µs → bucket [2,4) → 4.
-        assert_eq!(h.quantile(0.5), Some(Duration::from_micros(4)));
-        // Max quantile lands in the 100ms-ish bucket containing 100000 µs.
-        let p100 = h.quantile(1.0).unwrap();
-        assert!(p100 >= Duration::from_micros(100_000));
-        assert!(p100 <= Duration::from_micros(262_144));
+    fn json_snapshot_is_wire_shaped() {
+        assert_eq!(
+            busy().to_json(),
+            concat!(
+                "{\"epoch\":7,\"shards\":1,\"workers\":4,\"kernel_threads\":2,",
+                "\"queries\":10,\"cache_hits\":6,\"dedup_joins\":3,",
+                "\"computations\":1,\"index_builds\":2,\"errors\":0,",
+                "\"epoch_refreshes\":2,\"updates_staged\":12,\"commit_requests\":3,",
+                "\"evictions\":5,\"invalidations\":4,",
+                "\"cached_entries\":5,\"hit_rate\":0.9000,",
+                "\"memory_bytes\":{\"exactsim\":0,\"prsim\":4096,\"mc\":null},",
+                "\"p50_us\":128,\"p99_us\":1024,",
+                "\"latency_saturated\":1,",
+                "\"connections_accepted\":5,\"connections_closed\":3,",
+                "\"connections_rejected\":2,\"shed_rate\":0.2857,\"net_requests\":40,",
+                "\"bytes_in\":120,\"bytes_out\":4096,\"requests_per_conn_p50\":4,",
+                "\"pool\":{\"pages\":64,\"resident\":64,\"pinned\":2,",
+                "\"hits\":900,\"misses\":100,\"evictions\":36,",
+                "\"pool_hit_rate\":0.9000},",
+                "\"data_dir\":\"/var/lib/simrank \\\"x\\\"\",\"wal_len\":12,",
+                "\"last_snapshot_epoch\":3}"
+            )
+        );
+        // Before any query, quantiles serialize as null.
+        assert_contains(&idle().to_json(), &["\"p50_us\":null,\"p99_us\":null,"]);
     }
 
     #[test]
     fn latencies_past_the_top_bucket_saturate_instead_of_clamping() {
-        let h = LatencyHistogram::default();
-        // One bucketable observation and two past the nominal 2^39 µs bound.
-        h.record(Duration::from_micros(10));
-        h.record(Duration::from_micros(SATURATION_BOUND_US));
-        h.record(Duration::from_micros(u64::MAX));
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.saturated(), 2);
-        // The median is the bucketable observation; the max quantile lands in
-        // the saturated tail and reports the saturation bound (a lower
-        // bound, flagged by saturated() > 0 — not a fake upper bound).
-        assert_eq!(h.quantile(0.0), Some(Duration::from_micros(16)));
-        assert_eq!(
-            h.quantile(1.0),
-            Some(Duration::from_micros(SATURATION_BOUND_US))
-        );
-
-        let stats = ServiceStats::new();
-        stats.latency.record(Duration::from_micros(u64::MAX));
-        let snap = stats.snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None);
-        assert_eq!(snap.latency_saturated, 1);
-        assert!(snap.to_json().contains("\"latency_saturated\":1"));
-        assert!(snap.to_string().contains("latency saturated:  1"));
+        let latency = Histogram::new();
+        latency.record(Duration::from_micros(10));
+        latency.record(Duration::from_micros(u64::MAX));
+        assert_eq!(latency.saturated(), 1);
+        let snap = StatsSnapshot {
+            latency_saturated: latency.saturated(),
+            ..idle()
+        };
+        assert_contains(&snap.to_json(), &["\"latency_saturated\":1,"]);
     }
 
     #[test]
     fn connection_counters_surface_in_json_and_display() {
-        let stats = ServiceStats::new();
-        stats.connections_accepted.store(5, Ordering::Relaxed);
-        stats.connections_closed.store(3, Ordering::Relaxed);
-        stats.connections_rejected.store(2, Ordering::Relaxed);
-        stats.net_requests.store(40, Ordering::Relaxed);
-        let snap = stats.snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None);
-        assert_eq!(snap.connections_accepted, 5);
-        assert_eq!(snap.net_requests, 40);
-        let json = snap.to_json();
-        assert!(json.contains("\"connections_accepted\":5"), "{json}");
-        assert!(json.contains("\"connections_rejected\":2"), "{json}");
-        assert!(json.contains("\"net_requests\":40"), "{json}");
         // 2 of 7 offered connections were shed.
-        assert!((snap.shed_rate - 2.0 / 7.0).abs() < 1e-12);
-        assert!(json.contains("\"shed_rate\":0.2857"), "{json}");
-        let rendered = snap.to_string();
-        assert!(
-            rendered.contains("5 accepted, 2 live, 2 rejected (28.6% shed), 40 requests"),
-            "{rendered}"
+        assert!((share(2, 5 + 2) - 2.0 / 7.0).abs() < 1e-12);
+        assert_contains(
+            &busy().to_json(),
+            &[
+                "\"connections_accepted\":5,",
+                "\"connections_rejected\":2,",
+                "\"shed_rate\":0.2857,",
+                "\"net_requests\":40,",
+            ],
         );
-        // A stdin-only server never shows the TCP line.
-        let quiet = ServiceStats::new()
-            .snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None)
-            .to_string();
-        assert!(!quiet.contains("tcp connections"));
     }
 
     #[test]
     fn byte_and_per_connection_counters_surface_in_json_and_display() {
-        let stats = ServiceStats::new();
-        stats.connections_accepted.store(2, Ordering::Relaxed);
-        stats.connections_closed.store(2, Ordering::Relaxed);
-        stats.bytes_in.store(120, Ordering::Relaxed);
-        stats.bytes_out.store(4096, Ordering::Relaxed);
-        // Two finished connections: 3 requests and 5 requests.
-        stats.requests_per_conn.record_value(3);
-        stats.requests_per_conn.record_value(5);
-        let snap = stats.snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None);
-        assert_eq!(snap.bytes_in, 120);
-        assert_eq!(snap.bytes_out, 4096);
-        // p50 of {3, 5} resolves to the upper bound of 3's bucket [2, 4).
-        assert_eq!(snap.requests_per_conn_p50, Some(4));
-        let json = snap.to_json();
-        assert!(json.contains("\"bytes_in\":120"), "{json}");
-        assert!(json.contains("\"bytes_out\":4096"), "{json}");
-        assert!(json.contains("\"requests_per_conn_p50\":4"), "{json}");
-        let rendered = snap.to_string();
-        assert!(
-            rendered.contains("tcp bytes:          120 in, 4096 out, <= 4 requests/conn (p50)"),
-            "{rendered}"
+        assert_contains(
+            &busy().to_json(),
+            &[
+                "\"bytes_in\":120,",
+                "\"bytes_out\":4096,",
+                "\"requests_per_conn_p50\":4,",
+            ],
         );
-        // Before any connection finishes, the quantile serializes as null and
-        // the Display suffix is omitted.
-        let fresh = ServiceStats::new();
-        fresh.connections_accepted.store(1, Ordering::Relaxed);
-        let early = fresh.snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None);
-        assert!(early.to_json().contains("\"requests_per_conn_p50\":null"));
-        assert!(early
-            .to_string()
-            .contains("tcp bytes:          0 in, 0 out\n"));
+        // Before any connection finishes, the quantile serializes as null.
+        assert_contains(&idle().to_json(), &["\"requests_per_conn_p50\":null,"]);
     }
 
     #[test]
     fn write_counters_and_shed_rate_surface_in_json_and_display() {
-        let stats = ServiceStats::new();
-        stats.updates_staged.store(12, Ordering::Relaxed);
-        stats.commit_requests.store(3, Ordering::Relaxed);
-        let snap = stats.snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None);
-        assert_eq!(snap.updates_staged, 12);
-        assert_eq!(snap.commit_requests, 3);
-        let json = snap.to_json();
-        assert!(json.contains("\"updates_staged\":12"), "{json}");
-        assert!(json.contains("\"commit_requests\":3"), "{json}");
-        assert!(
-            snap.to_string()
-                .contains("writes:             12 updates staged, 3 commits"),
-            "{snap}"
+        assert_contains(
+            &busy().to_json(),
+            &["\"updates_staged\":12,", "\"commit_requests\":3,"],
         );
-        // A read-only server omits the Display line and sheds nothing.
-        let quiet =
-            ServiceStats::new().snapshot(0, 0, 0, 0, None, [None; 3], Default::default(), None);
-        assert!(!quiet.to_string().contains("writes:"));
-        assert_eq!(quiet.shed_rate, 0.0);
-        assert!(quiet.to_json().contains("\"shed_rate\":0.0000"));
+        // A server without offered connections sheds nothing.
+        assert_eq!(share(0, 0), 0.0);
+        assert_contains(&idle().to_json(), &["\"shed_rate\":0.0000,"]);
     }
 
     #[test]
     fn index_memory_surfaces_in_json_and_display() {
-        let stats = ServiceStats::new();
-        let snap = stats.snapshot(
-            0,
-            0,
-            0,
-            0,
-            None,
-            [Some(0), Some(4096), None],
-            ServingShape::default(),
-            None,
+        assert_contains(
+            &busy().to_json(),
+            &["\"memory_bytes\":{\"exactsim\":0,\"prsim\":4096,\"mc\":null},"],
         );
-        let json = snap.to_json();
-        assert!(
-            json.contains("\"memory_bytes\":{\"exactsim\":0,\"prsim\":4096,\"mc\":null}"),
-            "{json}"
-        );
-        let rendered = snap.to_string();
-        assert!(
-            rendered.contains("index memory:       exactsim 0 B, prsim 4096 B, mc unbuilt"),
-            "{rendered}"
+        assert_contains(
+            &idle().to_json(),
+            &["\"memory_bytes\":{\"exactsim\":null,\"prsim\":null,\"mc\":null},"],
         );
     }
 
     #[test]
     fn snapshot_hit_rate_counts_hits_and_joins() {
-        let stats = ServiceStats::new();
-        stats.queries.store(10, Ordering::Relaxed);
-        stats.cache_hits.store(6, Ordering::Relaxed);
-        stats.dedup_joins.store(3, Ordering::Relaxed);
-        stats.computations.store(1, Ordering::Relaxed);
-        stats.epoch_refreshes.store(2, Ordering::Relaxed);
-        let snap = stats.snapshot(
-            7,
-            0,
-            4,
-            5,
-            None,
-            [Some(0), Some(1024), None],
-            ServingShape::default(),
-            None,
-        );
-        assert!((snap.hit_rate - 0.9).abs() < 1e-12);
-        assert_eq!(snap.cached_entries, 5);
-        assert_eq!(snap.epoch, 7);
-        assert_eq!(snap.invalidations, 4);
-        assert_eq!(snap.epoch_refreshes, 2);
-        let rendered = snap.to_string();
-        assert!(rendered.contains("90.0%"));
-        assert!(rendered.contains("computations:       1"));
-        assert!(rendered.contains("graph epoch:        7"));
-        assert!(rendered.contains("in-memory"));
+        // 6 hits and 3 joins of 10 queries: 9 did not pay for a computation.
+        assert!((share(6 + 3, 10) - 0.9).abs() < 1e-12);
+        assert_contains(&busy().to_json(), &["\"hit_rate\":0.9000,"]);
     }
 
     #[test]
     fn zero_queries_mean_zero_hit_rate() {
-        let snap = ServiceStats::new().snapshot(
-            0,
-            0,
-            0,
-            0,
-            None,
-            [None; 3],
-            ServingShape::default(),
-            None,
-        );
-        assert_eq!(snap.hit_rate, 0.0);
-        assert_eq!(snap.p50, None);
-    }
-
-    #[test]
-    fn json_snapshot_is_wire_shaped() {
-        let stats = ServiceStats::new();
-        stats.queries.store(4, Ordering::Relaxed);
-        stats.cache_hits.store(2, Ordering::Relaxed);
-        stats.latency.record(Duration::from_micros(100));
-        let json = stats
-            .snapshot(3, 1, 0, 2, None, [None; 3], ServingShape::default(), None)
-            .to_json();
-        assert!(json.starts_with("{\"epoch\":3,"));
-        assert!(json.contains("\"queries\":4"));
-        assert!(json.contains("\"hit_rate\":0.5000"));
-        assert!(json.contains("\"p50_us\":128"));
-        assert!(json.ends_with('}'));
-        // Not durable: the operator fields serialize as null.
-        assert!(json.contains("\"data_dir\":null"));
-        assert!(json.contains("\"wal_len\":null"));
-        assert!(json.contains("\"last_snapshot_epoch\":null"));
-        // Before any query, quantiles serialize as null.
-        let empty = ServiceStats::new()
-            .snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None)
-            .to_json();
-        assert!(empty.contains("\"p99_us\":null"));
+        assert_eq!(share(0, 0), 0.0);
+        assert_contains(&idle().to_json(), &["\"hit_rate\":0.0000,"]);
     }
 
     #[test]
     fn serving_shape_surfaces_in_json_and_display() {
-        let shape = ServingShape {
-            workers: 4,
-            kernel_threads: 2,
-            shards: 3,
-        };
-        let snap = ServiceStats::new().snapshot(0, 0, 0, 0, None, [None; 3], shape, None);
-        let json = snap.to_json();
-        // Shape rides immediately after the epoch so scrapers that read a
-        // prefix still see it.
-        assert!(
-            json.starts_with("{\"epoch\":0,\"shards\":3,\"workers\":4,\"kernel_threads\":2,"),
-            "{json}"
-        );
-        let rendered = snap.to_string();
-        assert!(rendered.contains("3 shard(s), 4 workers, 2 kernel thread(s)"));
-        // The single-process default reports one shard.
-        let plain = ServiceStats::new()
-            .snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None)
-            .to_json();
-        assert!(plain.contains("\"shards\":1"), "{plain}");
+        // The topology rides immediately after the epoch so scrapers that
+        // read a prefix still see it; a single service is always one shard.
+        assert!(busy()
+            .to_json()
+            .starts_with("{\"epoch\":7,\"shards\":1,\"workers\":4,\"kernel_threads\":2,"));
     }
 
     #[test]
     fn pool_stats_surface_in_json_and_display() {
-        let pool = PoolStats {
-            capacity: 64,
-            resident: 64,
-            pinned: 2,
-            hits: 900,
-            misses: 100,
-            evictions: 36,
-        };
-        let snap = ServiceStats::new().snapshot(
-            0,
-            0,
-            0,
-            0,
-            None,
-            [None; 3],
-            ServingShape::default(),
-            Some(pool),
-        );
-        let json = snap.to_json();
-        assert!(
-            json.contains(concat!(
+        assert_contains(
+            &busy().to_json(),
+            &[concat!(
                 "\"pool\":{\"pages\":64,\"resident\":64,\"pinned\":2,",
                 "\"hits\":900,\"misses\":100,\"evictions\":36,",
                 "\"pool_hit_rate\":0.9000}"
-            )),
-            "{json}"
-        );
-        assert!(
-            snap.to_string().contains(
-                "buffer pool:        64/64 pages resident (2 pinned), 90.0% hit rate, 36 evictions"
-            ),
-            "{snap}"
+            )],
         );
         // An in-memory (unpaged) store reports no pool at all — scrapers can
         // key backend detection on the null.
-        let unpaged = ServiceStats::new().snapshot(
-            0,
-            0,
-            0,
-            0,
-            None,
-            [None; 3],
-            ServingShape::default(),
-            None,
-        );
-        assert!(unpaged.to_json().contains("\"pool\":null"));
-        assert!(!unpaged.to_string().contains("buffer pool:"));
+        assert_contains(&idle().to_json(), &["\"pool\":null,"]);
     }
 
     #[test]
     fn durable_stats_surface_the_data_dir_wal_and_snapshot_epoch() {
-        let stats = ServiceStats::new();
-        let info = DurabilityInfo {
-            data_dir: std::path::PathBuf::from("/var/lib/simrank \"x\""),
-            wal_records: 12,
-            last_snapshot_epoch: 3,
-        };
-        let snap = stats.snapshot(
-            5,
-            0,
-            0,
-            0,
-            Some(info),
-            [None; 3],
-            ServingShape::default(),
-            None,
+        assert_contains(
+            &busy().to_json(),
+            &[
+                // Path quotes are escaped so the reply stays valid JSON.
+                "\"data_dir\":\"/var/lib/simrank \\\"x\\\"\",",
+                "\"wal_len\":12,",
+                "\"last_snapshot_epoch\":3}",
+            ],
         );
-        assert_eq!(snap.wal_len, Some(12));
-        assert_eq!(snap.last_snapshot_epoch, Some(3));
-        let json = snap.to_json();
-        assert!(json.contains("\"wal_len\":12"), "{json}");
-        assert!(json.contains("\"last_snapshot_epoch\":3"), "{json}");
-        // Path quotes are escaped so the reply stays valid JSON.
-        assert!(
-            json.contains("\"data_dir\":\"/var/lib/simrank \\\"x\\\"\""),
-            "{json}"
+        // Not durable: the operator fields serialize as null.
+        assert_contains(
+            &idle().to_json(),
+            &["\"data_dir\":null,\"wal_len\":null,\"last_snapshot_epoch\":null}"],
         );
-        assert!(snap.to_string().contains("wal 12 records"));
     }
 }

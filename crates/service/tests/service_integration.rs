@@ -6,7 +6,8 @@
 //!     `(seed, source)`, so the service adds no nondeterminism);
 //! (b) a batch of 100 queries over 10 distinct sources on 8 workers performs
 //!     at most 10 underlying computations (cache + in-flight dedup);
-//! (c) `ServiceStats` reports a hit rate ≥ 0.85 for that workload;
+//! (c) `stats` reports a hit rate ≥ 0.85 for that workload, and its outcome
+//!     counts agree with the `simrank_queries_total` series of `metrics`;
 //! (d) a store commit racing live queries is atomic: every answer equals the
 //!     pre-commit or the post-commit column bit-for-bit (never a mix of
 //!     epochs), no query fails, and post-commit answers are bit-identical to
@@ -124,6 +125,46 @@ fn batch_of_100_over_10_sources_on_8_workers_deduplicates() {
     );
     // Every query must have been answered one of the three ways.
     assert_eq!(snap.cache_hits + snap.dedup_joins + snap.computations, 100);
+
+    // A second batch races out-of-range sources (which fail, and dedup
+    // against each other) with repeats of the valid ones.
+    let n = service.graph().num_nodes() as u32;
+    let mixed: Vec<BatchRequest> = (0..60)
+        .map(|i| BatchRequest {
+            algorithm: AlgorithmKind::ExactSim,
+            source: if i % 2 == 0 { n + (i % 3) } else { i % 10 },
+            top_k: None,
+        })
+        .collect();
+    let failed = service
+        .run_batch(mixed)
+        .iter()
+        .filter(|item| item.outcome.is_err())
+        .count();
+    assert_eq!(failed, 30);
+
+    let snap = service.stats();
+    assert_eq!(snap.queries, 160);
+    assert_eq!(snap.errors, 30);
+    assert_eq!(
+        snap.queries,
+        snap.cache_hits + snap.dedup_joins + snap.computations + snap.errors
+    );
+    // `stats` and `metrics` read one store, so each count is the matching
+    // outcome's sum over `simrank_queries_total`.
+    let metrics = service.metrics_text();
+    let outcome_total = |outcome: &str| -> u64 {
+        let label = format!("outcome=\"{outcome}\"}}");
+        metrics
+            .lines()
+            .filter(|line| line.starts_with("simrank_queries_total{") && line.contains(&label))
+            .map(|line| line.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum()
+    };
+    assert_eq!(outcome_total("hit"), snap.cache_hits);
+    assert_eq!(outcome_total("dedup"), snap.dedup_joins);
+    assert_eq!(outcome_total("miss"), snap.computations);
+    assert_eq!(outcome_total("error"), snap.errors);
 }
 
 #[test]

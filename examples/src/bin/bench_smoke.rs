@@ -12,8 +12,8 @@
 //! with a stable schema, not a rigorous benchmark.
 //!
 //! The reported p50/p99 are power-of-two **bucket upper bounds** (within 2×
-//! of the true quantile; see `exactsim_service::stats::LatencyHistogram` for
-//! the exact bucket bounds and the saturation rule past the top bucket).
+//! of the true quantile; see `exactsim_obs::metrics::Histogram` for the exact
+//! bucket bounds and the saturation rule past the top bucket).
 
 use std::sync::Arc;
 use std::time::Instant;

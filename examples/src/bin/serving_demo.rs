@@ -64,7 +64,7 @@ fn main() {
         total as f64 / elapsed.as_secs_f64()
     );
     println!("failures: {failures}\n");
-    println!("{snap}");
+    println!("stats: {}", snap.to_json());
     assert_eq!(failures, 0);
     assert!(
         snap.computations <= u64::from(hot_sources),
