@@ -10,13 +10,12 @@
 //! simrank-repro --list                      # what the registry knows
 //! ```
 //!
-//! `--quick` and `--full` are presets over the same environment knobs the
-//! standalone `figN_*` binaries read (`EXACTSIM_SCALE_SMALL`, …); with
-//! neither flag the environment-derived parameters are used, so an
-//! `EXACTSIM_*`-configured invocation behaves exactly like running the
-//! standalone binaries one by one. Relative `--out-dir` paths are anchored
-//! at the workspace root regardless of the invoking cwd. See REPRODUCING.md
-//! at the repository root for the full walkthrough.
+//! `--quick` and `--full` are presets over the harness knobs; with neither
+//! flag the knobs come from the `EXACTSIM_*` environment variables
+//! (`EXACTSIM_SCALE_SMALL`, …, listed in the `exactsim_bench` crate docs).
+//! Relative `--out-dir` paths are anchored at the workspace root regardless
+//! of the invoking cwd. See REPRODUCING.md at the repository root for the
+//! full walkthrough.
 
 use std::process::ExitCode;
 
@@ -98,13 +97,7 @@ fn main() -> ExitCode {
         Some("full") => (HarnessParams::full_repro(), "full"),
         _ => (HarnessParams::from_env(), "env"),
     };
-    let out_dir = resolve_path(&out_dir);
-    eprintln!(
-        "simrank-repro: mode {mode}, output {} ({} targets)",
-        out_dir.display(),
-        only.as_ref().map_or(TARGETS.len(), |o| o.len()),
-    );
-    match run(&params, only.as_deref(), &out_dir, mode) {
+    match run(&params, only.as_deref(), &resolve_path(&out_dir), mode) {
         Ok(report) => {
             eprintln!(
                 "simrank-repro: wrote {} target(s) in {:.1}s — see {}",

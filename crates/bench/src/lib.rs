@@ -3,19 +3,15 @@
 //! The benchmark harness that regenerates every table and figure of the
 //! ExactSim paper's evaluation (§4) on the synthetic stand-in datasets.
 //!
-//! Two entry points share the machinery in this library:
-//!
-//! * **`simrank-repro`** (the [`repro`] module) — the one-command
-//!   reproducibility pipeline: `simrank-repro --quick|--full [--only
-//!   fig5,table3]` regenerates the selected figures/tables into `repro/out/`
-//!   (CSV + JSON per target, `SUMMARY.md`, `MANIFEST.json`), computing each
-//!   underlying sweep once and projecting every dependent figure from it.
-//!   This is what CI's `repro-smoke` job runs; REPRODUCING.md at the
-//!   repository root is the operator walkthrough.
-//! * **Standalone binaries** — each figure/table also has a dedicated binary
-//!   in `src/bin/` (thin wrappers over the same sweeps) printing CSV rows to
-//!   stdout (one row per measured configuration — the same series the paper
-//!   plots) and a human-readable summary to stderr.
+//! **`simrank-repro`** (the [`repro`] module) is the one-command
+//! reproducibility pipeline: `simrank-repro --quick|--full [--only
+//! fig5,table3]` regenerates the selected figures/tables into `repro/out/`
+//! (CSV + JSON per target, `SUMMARY.md`, `MANIFEST.json`), computing each
+//! underlying sweep once and projecting every dependent figure from it.
+//! This is what CI's `repro-smoke` job runs; REPRODUCING.md at the
+//! repository root is the operator walkthrough. The `ablation_*` and
+//! `cost_model_walk_counts` binaries in `src/bin/` run the experiments
+//! outside the paper's figure set, printing CSV rows to stdout.
 //!
 //! ## Environment variables
 //!
@@ -40,8 +36,8 @@ pub mod sweep;
 pub mod tables;
 
 pub use ground_truth::{ground_truth_exactsim, ground_truth_power_method, GroundTruth};
-pub use output::{print_rows, SweepRow};
+pub use output::SweepRow;
 pub use params::{HarnessParams, SweepSizes};
-pub use runner::{run_figure, run_figure_with, DatasetGroup};
+pub use runner::{run_figure_with, DatasetGroup};
 pub use sweep::{run_quality_sweep, AlgorithmFamily};
 pub use tables::{table2_rows, table3_rows, Table2Row, Table3Row};

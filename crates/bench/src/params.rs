@@ -10,7 +10,7 @@ pub enum SweepSizes {
     Full,
 }
 
-/// All knobs shared by the figure/table binaries.
+/// All knobs shared by the repro targets and the ablation binaries.
 #[derive(Clone, Debug)]
 pub struct HarnessParams {
     /// Scale factor for the small datasets.

@@ -13,13 +13,12 @@
 //! Figures 1 and 2 both come from the all-algorithms sweep on the small
 //! datasets (MaxError vs. time and Precision@500 vs. time respectively),
 //! and Figures 3/4 restrict that same sweep to the index-based methods.
-//! The runner therefore computes each `(dataset group, algorithm family)`
-//! sweep **once** per invocation and derives every dependent figure from the
-//! cached rows. Deriving Figures 3/4/7/8 by filtering the all-algorithms
-//! sweep yields the same rows as running the `IndexBasedOnly` family
-//! directly (each configuration is measured independently, with per-`(seed,
-//! source)` deterministic randomness) while halving the pipeline's runtime —
-//! only wall-clock timings differ between the two routes, never values.
+//! The runner therefore computes each dataset group's sweep **once** per
+//! invocation and derives every dependent figure from the cached rows.
+//! Figures 3/4/7/8 keep the index-based methods (MC / Linearization /
+//! PRSim) of that sweep: each configuration is measured independently, with
+//! per-`(seed, source)` deterministic randomness, so the filtered rows carry
+//! the same values a dedicated index-only sweep would, at no extra runtime.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -190,24 +189,19 @@ pub struct ReproReport {
     pub total_seconds: f64,
 }
 
-/// Sweep cache key: one entry per (group, family) actually computed.
+/// Sweep cache key: one entry per sweep actually computed.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum SweepKey {
-    Group(DatasetGroup, AlgorithmFamilyKey),
+    Group(DatasetGroup),
     Ablation,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum AlgorithmFamilyKey {
-    All,
 }
 
 const INDEX_METHODS: [&str; 3] = ["MC", "Linearization", "PRSim"];
 
 /// Runs the selected targets with the given parameters, writing all
-/// artifacts under `out_dir`. `only = None` runs everything in [`TARGETS`].
-/// `mode` is recorded verbatim in the summary/manifest (`"quick"`, `"full"`,
-/// `"env"`).
+/// artifacts under `out_dir`. `only = None` runs everything in [`TARGETS`];
+/// a key listed twice in `only` runs once, at its first position. `mode` is
+/// recorded verbatim in the summary/manifest (`"quick"`, `"full"`, `"env"`).
 pub fn run(
     params: &HarnessParams,
     only: Option<&[String]>,
@@ -217,16 +211,19 @@ pub fn run(
     let selected: Vec<&'static TargetSpec> = match only {
         None => TARGETS.iter().collect(),
         Some(keys) => {
-            let mut specs = Vec::new();
+            let mut specs: Vec<&'static TargetSpec> = Vec::new();
             for key in keys {
                 let key = key.trim();
                 if key.is_empty() {
                     continue;
                 }
-                specs.push(target_by_key(key).ok_or_else(|| {
+                let spec = target_by_key(key).ok_or_else(|| {
                     let known: Vec<&str> = TARGETS.iter().map(|t| t.key).collect();
                     format!("unknown target `{key}` (known: {})", known.join(", "))
-                })?);
+                })?;
+                if !specs.iter().any(|s| s.key == spec.key) {
+                    specs.push(spec);
+                }
             }
             if specs.is_empty() {
                 return Err("--only selected no targets".to_string());
@@ -234,6 +231,11 @@ pub fn run(
             specs
         }
     };
+    eprintln!(
+        "simrank-repro: mode {mode}, output {} ({} targets)",
+        out_dir.display(),
+        selected.len(),
+    );
     std::fs::create_dir_all(out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
 
     let started = Instant::now();
@@ -247,9 +249,8 @@ pub fn run(
                 group,
                 index_methods_only,
             } => {
-                let key = SweepKey::Group(group, AlgorithmFamilyKey::All);
                 let all = cache
-                    .entry(key)
+                    .entry(SweepKey::Group(group))
                     .or_insert_with(|| run_figure_with(group, AlgorithmFamily::All, params));
                 let rows: Vec<SweepRow> = if index_methods_only {
                     all.iter()
@@ -304,8 +305,7 @@ pub fn run(
 }
 
 /// Figure 9's rows: both ExactSim variants on one small (HP) and one large
-/// (DB) stand-in — the standalone `fig9_ablation_basic_vs_optimized` binary
-/// shares this sweep shape.
+/// (DB) stand-in.
 fn ablation_rows(params: &HarnessParams) -> Vec<SweepRow> {
     let mut rows = Vec::new();
     for (key, group) in [("HP", DatasetGroup::Small), ("DB", DatasetGroup::Large)] {
@@ -493,17 +493,23 @@ mod tests {
         params.scale_small = 0.02;
         params.scale_large = Some(0.0005);
         let dir = std::env::temp_dir().join(format!("exactsim-repro-test-{}", std::process::id()));
-        let report = run(&params, Some(&["table2".to_string()]), &dir, "quick").unwrap();
-        assert_eq!(report.targets.len(), 1);
-        assert_eq!(report.targets[0].rows, 8);
-        let csv = std::fs::read_to_string(dir.join("table2.csv")).unwrap();
-        assert!(csv.lines().count() >= 9, "{csv}");
-        let json = std::fs::read_to_string(dir.join("table2.json")).unwrap();
-        assert!(json.contains("\"target\":\"table2\""));
-        let summary = std::fs::read_to_string(dir.join("SUMMARY.md")).unwrap();
-        assert!(summary.contains("| `table2` |"));
-        let manifest = std::fs::read_to_string(dir.join("MANIFEST.json")).unwrap();
-        assert!(manifest.contains("\"pipeline\":\"simrank-repro\""));
+        // A key listed twice (around an empty entry) still runs once.
+        let once = vec!["table2".to_string()];
+        let twice = vec!["table2".to_string(), String::new(), "table2".to_string()];
+        for only in [once, twice] {
+            let report = run(&params, Some(&only), &dir, "quick").unwrap();
+            assert_eq!(report.targets.len(), 1, "{only:?}");
+            assert_eq!(report.targets[0].rows, 8);
+            let csv = std::fs::read_to_string(dir.join("table2.csv")).unwrap();
+            assert!(csv.lines().count() >= 9, "{csv}");
+            let json = std::fs::read_to_string(dir.join("table2.json")).unwrap();
+            assert!(json.contains("\"target\":\"table2\""));
+            let summary = std::fs::read_to_string(dir.join("SUMMARY.md")).unwrap();
+            assert_eq!(summary.matches("| `table2` |").count(), 1, "{summary}");
+            let manifest = std::fs::read_to_string(dir.join("MANIFEST.json")).unwrap();
+            assert!(manifest.contains("\"pipeline\":\"simrank-repro\""));
+            assert_eq!(manifest.matches("\"key\":\"table2\"").count(), 1);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

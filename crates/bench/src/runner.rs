@@ -51,13 +51,6 @@ pub fn group_ground_truth(
     }
 }
 
-/// Runs one figure with environment-derived parameters: the behaviour of the
-/// standalone `figN_*` binaries. See [`run_figure_with`] for the
-/// explicitly-parameterised variant the `simrank-repro` runner uses.
-pub fn run_figure(group: DatasetGroup, family: AlgorithmFamily) -> Vec<SweepRow> {
-    run_figure_with(group, family, &HarnessParams::from_env())
-}
-
 /// Runs one figure: for every dataset in the group, generate the stand-in,
 /// compute the ground truth and run the requested sweep.
 pub fn run_figure_with(

@@ -1,4 +1,4 @@
-//! The parameter-sweep machinery shared by the figure binaries.
+//! The parameter-sweep machinery behind every figure target.
 
 use std::time::Instant;
 
@@ -22,11 +22,9 @@ use crate::params::HarnessParams;
 /// Which algorithm families a sweep should include.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AlgorithmFamily {
-    /// All five single-source algorithms (Figures 1, 2, 5, 6).
+    /// All five single-source algorithms (Figures 1, 2, 5, 6; Figures 3, 4,
+    /// 7, 8 keep only its index-based rows).
     All,
-    /// Only the index-based methods MC / PRSim / Linearization
-    /// (Figures 3, 4, 7, 8).
-    IndexBasedOnly,
     /// Only the two ExactSim variants (Figure 9).
     ExactSimVariantsOnly,
 }
@@ -50,7 +48,6 @@ pub fn run_quality_sweep(
     };
 
     let include_all = family == AlgorithmFamily::All;
-    let include_index = include_all || family == AlgorithmFamily::IndexBasedOnly;
     let include_exactsim_variants = family == AlgorithmFamily::ExactSimVariantsOnly;
 
     // Per-node exploration caps for the harness: bound the cost of deep
@@ -132,7 +129,7 @@ pub fn run_quality_sweep(
     }
 
     // --- MC: walks-per-node sweep.
-    if include_all || include_index {
+    if include_all {
         for &(walks, length) in &params.mc_walk_counts() {
             // Guard the index size: r walks × n nodes × mean length.
             let estimated_steps = walks.saturating_mul(graph.num_nodes()).saturating_mul(5);
@@ -157,7 +154,7 @@ pub fn run_quality_sweep(
     }
 
     // --- Linearization: ε sweep, preprocessing capped by the walk budget.
-    if include_all || include_index {
+    if include_all {
         for &eps in &params.index_method_epsilons() {
             let config = LinearizationConfig {
                 epsilon: eps,
@@ -177,7 +174,7 @@ pub fn run_quality_sweep(
     }
 
     // --- PRSim: ε sweep with an index-entry cap derived from the budget.
-    if include_all || include_index {
+    if include_all {
         for &eps in &params.index_method_epsilons() {
             let config = PrSimConfig {
                 epsilon: eps,
@@ -275,24 +272,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&row.precision_at_500));
             assert!(row.query_seconds >= 0.0);
         }
-    }
-
-    #[test]
-    fn index_only_family_excludes_index_free_methods() {
-        let g = barabasi_albert(50, 2, true, 5).unwrap();
-        let truth = ground_truth_power_method(&g, &[1]).unwrap();
-        let rows = run_quality_sweep(
-            "HT",
-            &g,
-            &truth,
-            &tiny_params(),
-            AlgorithmFamily::IndexBasedOnly,
-        );
-        assert!(rows
-            .iter()
-            .all(|r| ["MC", "Linearization", "PRSim"].contains(&r.algorithm.as_str())));
-        assert!(rows.iter().any(|r| r.index_bytes > 0));
-        assert!(rows.iter().any(|r| r.preprocessing_seconds >= 0.0));
     }
 
     #[test]

@@ -1,8 +1,5 @@
-//! Structured row computation for the paper's Table 2 and Table 3.
-//!
-//! The standalone `table2_datasets` / `table3_memory_overhead` binaries and
-//! the `simrank-repro` runner share these functions, so the one-command
-//! pipeline and the per-table binaries cannot drift apart.
+//! Structured row computation for the paper's Table 2 and Table 3, the
+//! `table2` / `table3` targets of the `simrank-repro` pipeline.
 
 use exactsim::exactsim::{ExactSim, ExactSimConfig, ExactSimVariant};
 use exactsim_datasets::{all_datasets, large_datasets, query_sources, DatasetKind};

@@ -21,9 +21,8 @@
 //!     --baseline bench/baseline_core.json --quick
 //! ```
 //!
-//! The binary is a plain `harness = false` bench target: no criterion (the
-//! vendored stub has no JSON output or baselines), just wall-clock sampling
-//! with p50/p99 over per-query samples.
+//! The binary is a plain `harness = false` bench target: wall-clock
+//! sampling with p50/p99 over per-query samples, no benchmark framework.
 
 use std::time::Instant;
 

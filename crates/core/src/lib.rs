@@ -35,7 +35,7 @@
 //! | [`walks`] | √c-walk sampling engine | shared substrate (eq. 2) |
 //! | [`scratch`] | reusable per-query workspaces ([`scratch::Scratch`]) | engineering: allocation-free, deterministic kernels |
 //! | [`counters`] | process-global kernel counters (scratch reuse, iterations, walks) | engineering: observability without dependencies |
-//! | [`topk`], [`metrics`], [`pooling`] | top-k extraction, MaxError / Precision@k, pooling | evaluation methodology |
+//! | [`topk`], [`metrics`] | top-k extraction, MaxError / Precision@k | evaluation methodology |
 //!
 //! Every solver is generic over its graph backend
 //! (`G: exactsim_graph::NeighborAccess` — `&DiGraph` for borrowing library
@@ -80,7 +80,6 @@ pub mod metrics;
 pub mod naive;
 pub mod parallel;
 pub mod parsim;
-pub mod pooling;
 pub mod power_method;
 pub mod ppr;
 pub mod prsim;

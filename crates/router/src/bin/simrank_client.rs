@@ -25,10 +25,10 @@
 //! `queries_per_sec`, `p50_us`/`p99_us` (same fixed-bucket histogram as the
 //! server, see `exactsim_service::stats`), the error count, and the
 //! server's own `stats` reply embedded as `server_stats`, and a final
-//! Prometheus `metrics` scrape embedded (JSON-escaped) as `metrics_scrape` —
-//! schema-compatible with `BENCH_serving.json` so CI can upload it alongside
-//! (`BENCH_tcp.json`). The process exits nonzero unless every request
-//! succeeded and throughput is nonzero, which is what makes it a CI gate.
+//! Prometheus `metrics` scrape embedded (JSON-escaped) as `metrics_scrape`;
+//! CI uploads it as `BENCH_tcp.json`. The process exits nonzero unless every
+//! request succeeded and throughput is nonzero, which is what makes it a CI
+//! gate.
 //!
 //! When the server turns out to be a **router** (`--shards` / `--shard-of`;
 //! detected from the `per_shard` breakdown in its `stats` reply), the bench

@@ -322,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn connection_counters_surface_in_json_and_display() {
+    fn connection_counters_surface_in_json() {
         // 2 of 7 offered connections were shed.
         assert!((share(2, 5 + 2) - 2.0 / 7.0).abs() < 1e-12);
         assert_contains(
@@ -337,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn byte_and_per_connection_counters_surface_in_json_and_display() {
+    fn byte_and_per_connection_counters_surface_in_json() {
         assert_contains(
             &busy().to_json(),
             &[
@@ -351,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn write_counters_and_shed_rate_surface_in_json_and_display() {
+    fn write_counters_and_shed_rate_surface_in_json() {
         assert_contains(
             &busy().to_json(),
             &["\"updates_staged\":12,", "\"commit_requests\":3,"],
@@ -362,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn index_memory_surfaces_in_json_and_display() {
+    fn index_memory_surfaces_in_json() {
         assert_contains(
             &busy().to_json(),
             &["\"memory_bytes\":{\"exactsim\":0,\"prsim\":4096,\"mc\":null},"],
@@ -387,7 +387,7 @@ mod tests {
     }
 
     #[test]
-    fn serving_shape_surfaces_in_json_and_display() {
+    fn serving_shape_surfaces_in_json() {
         // The topology rides immediately after the epoch so scrapers that
         // read a prefix still see it; a single service is always one shard.
         assert!(busy()
@@ -396,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_stats_surface_in_json_and_display() {
+    fn pool_stats_surface_in_json() {
         assert_contains(
             &busy().to_json(),
             &[concat!(

@@ -221,6 +221,24 @@ fn concurrent_sockets_racing_a_commit_see_one_epoch_per_answer_bit_identical_to_
     };
     assert!(accepted >= (CLIENTS + 2) as u64, "{stats}");
 
+    // The multi-line `metrics` reply frames on the `# EOF` sentinel over a
+    // real socket and carries the traffic above.
+    let scrape = check
+        .round_trip_multi("metrics", "# EOF")
+        .expect("metrics scrape");
+    assert!(scrape.ends_with("# EOF\n"), "scrape framing: {scrape}");
+    assert!(
+        scrape.lines().any(|l| l == "simrank_commits_total 1"),
+        "{scrape}"
+    );
+    assert!(
+        scrape.lines().any(|l| {
+            l.starts_with("simrank_queries_total{algo=\"exactsim\",")
+                && l.rsplit(' ').next().and_then(|v| v.parse::<u64>().ok()) > Some(0)
+        }),
+        "{scrape}"
+    );
+
     handle.request_shutdown();
     handle.join();
 }
