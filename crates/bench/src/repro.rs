@@ -251,7 +251,7 @@ pub fn run(
             } => {
                 let all = cache
                     .entry(SweepKey::Group(group))
-                    .or_insert_with(|| run_figure_with(group, AlgorithmFamily::All, params));
+                    .or_insert_with(|| run_figure_with(group, params));
                 let rows: Vec<SweepRow> = if index_methods_only {
                     all.iter()
                         .filter(|r| INDEX_METHODS.contains(&r.algorithm.as_str()))

@@ -52,12 +52,8 @@ pub fn group_ground_truth(
 }
 
 /// Runs one figure: for every dataset in the group, generate the stand-in,
-/// compute the ground truth and run the requested sweep.
-pub fn run_figure_with(
-    group: DatasetGroup,
-    family: AlgorithmFamily,
-    params: &HarnessParams,
-) -> Vec<SweepRow> {
+/// compute the ground truth and sweep all five algorithms.
+pub fn run_figure_with(group: DatasetGroup, params: &HarnessParams) -> Vec<SweepRow> {
     let specs = match group {
         DatasetGroup::Small => small_datasets(),
         DatasetGroup::Large => large_datasets(),
@@ -86,7 +82,7 @@ pub fn run_figure_with(
             &dataset.graph,
             &truth,
             params,
-            family,
+            AlgorithmFamily::All,
         ));
     }
     rows

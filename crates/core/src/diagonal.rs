@@ -23,11 +23,13 @@
 //!   [`crate::power_method::PowerMethod::exact_diagonal`]), used for
 //!   validation and ablations.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
+
 use exactsim_graph::linalg::{p_multiply_sparse_into, SparseVec};
 use exactsim_graph::{NeighborAccess, NodeId};
 use rand::rngs::SmallRng;
 
-use crate::parallel::split_ranges;
 use crate::scratch::DiagonalScratch;
 use crate::walks::{self, PairOutcome};
 
@@ -81,8 +83,13 @@ pub struct DiagonalEstimate {
     /// Total pairs of walks simulated (Algorithm 2 trials + Algorithm 3 tail
     /// pairs).
     pub walk_pairs: u64,
-    /// Total edge traversals performed by the deterministic exploration.
+    /// Total edge traversals charged to the deterministic exploration: the
+    /// edges each node's stop rule counted, whether they were traversed now
+    /// or replayed from an exploration memo.
     pub explore_edges: u64,
+    /// The part of `explore_edges` replayed from an exploration memo
+    /// instead of traversed (always 0 without one).
+    pub explore_edges_memoized: u64,
     /// Number of nodes whose tail sampling was skipped because the
     /// deterministic part already reached the required accuracy.
     pub tails_skipped: usize,
@@ -174,27 +181,88 @@ pub fn estimate_local_deterministic<G: NeighborAccess>(
     rng: &mut SmallRng,
 ) -> (f64, LocalNodeStats) {
     let c = sqrt_c * sqrt_c;
-    let din = graph.in_degree(node);
-    if din == 0 {
-        return (1.0, LocalNodeStats::default());
+    if let Some(value) = trivial_value(graph, node, c) {
+        return (value, LocalNodeStats::default());
     }
-    if din == 1 {
-        return (1.0 - c, LocalNodeStats::default());
+    let rule = StopRule::new(samples, sqrt_c, tail_skip_threshold, caps);
+    let explored = explore(graph, node, c, rule, scratch);
+    sample_tail(graph, node, explored, samples, sqrt_c, rule, caps, rng)
+}
+
+/// `D(k,k)` for the nodes that need no estimation: 1 without in-edges (no
+/// walk can move, so none can meet) and `1 − c` with exactly one (two walks
+/// that both move meet at once).
+fn trivial_value<G: NeighborAccess>(graph: &G, node: NodeId, c: f64) -> Option<f64> {
+    match graph.in_degree(node) {
+        0 => Some(1.0),
+        1 => Some(1.0 - c),
+        _ => None,
+    }
+}
+
+/// Algorithm 3's rule for ending the deterministic exploration of one node,
+/// checked after every completed level `ℓ`: stop once the tail bound `c^ℓ`
+/// is at most the node's skip threshold, once the edges spent reach the
+/// budget `min(2R(k)/√c, max_edges)`, or at `max_levels`.
+#[derive(Clone, Copy, Debug)]
+struct StopRule {
+    c: f64,
+    tail_skip_threshold: f64,
+    edge_budget: u64,
+    max_levels: usize,
+}
+
+impl StopRule {
+    fn new(samples: u64, sqrt_c: f64, tail_skip_threshold: f64, caps: LocalExploreCaps) -> Self {
+        let edge_budget = if samples == 0 {
+            0
+        } else {
+            (((2 * samples) as f64) / sqrt_c).ceil() as u64
+        };
+        StopRule {
+            c: sqrt_c * sqrt_c,
+            tail_skip_threshold,
+            edge_budget: edge_budget.min(caps.max_edges),
+            max_levels: caps.max_levels,
+        }
     }
 
-    let edge_budget = if samples == 0 {
-        0
-    } else {
-        (((2 * samples) as f64) / sqrt_c).ceil() as u64
-    };
-    let edge_budget = edge_budget.min(caps.max_edges);
+    fn stops_after(&self, level: usize, edges_used: u64) -> bool {
+        self.c.powi(level as i32) <= self.tail_skip_threshold
+            || edges_used >= self.edge_budget
+            || level >= self.max_levels
+    }
+}
 
+/// Where the deterministic exploration of one node stopped.
+#[derive(Clone, Copy, Debug)]
+struct Explored {
+    level: usize,
+    met_probability: f64,
+    edges_used: u64,
+}
+
+/// The deterministic part of Algorithm 3 for `node`: computes the
+/// first-meeting masses `Z_ℓ(node, ·)` level by level (Lemma 4) until `rule`
+/// stops it. After each level, `scratch.levels` records the running
+/// `met_probability` and the cumulative edges; both depend only on the graph,
+/// `node` and `c`, never on the stop rule, which is what lets an
+/// [`ExploreMemo`] replay them.
+fn explore<G: NeighborAccess>(
+    graph: &G,
+    node: NodeId,
+    c: f64,
+    rule: StopRule,
+    scratch: &mut DiagonalScratch,
+) -> Explored {
     let DiagonalScratch {
         ws,
         z,
         z_levels,
         dist,
+        levels,
     } = scratch;
+    levels.clear();
 
     // Lazily grown walk distributions: dist.slot(s).level(t) = P^t · e_s (no
     // decay), logically reset per node, storage retained across nodes.
@@ -215,7 +283,7 @@ pub fn estimate_local_deterministic<G: NeighborAccess>(
         v.iter().map(|(j, _)| graph.in_degree(j) as u64).sum()
     }
 
-    while level < caps.max_levels {
+    while level < rule.max_levels {
         let next_level = level + 1;
         // Make sure the distribution from `node` reaches `next_level`.
         {
@@ -280,27 +348,46 @@ pub fn estimate_local_deterministic<G: NeighborAccess>(
         z_len += 1;
         met_probability += level_mass;
         level = next_level;
+        levels.push((met_probability, edges_used));
 
-        let tail_bound = c.powi(level as i32);
-        if tail_bound <= tail_skip_threshold {
-            break;
-        }
-        if edges_used >= edge_budget {
+        if rule.stops_after(level, edges_used) {
             break;
         }
     }
+    Explored {
+        level,
+        met_probability,
+        edges_used,
+    }
+}
 
+/// The sampled part of Algorithm 3: turns an exploration that stopped at
+/// `explored.level` into `D̂(k,k)`, sampling the tail unless it is provably
+/// below the skip threshold.
+#[allow(clippy::too_many_arguments)]
+fn sample_tail<G: NeighborAccess>(
+    graph: &G,
+    node: NodeId,
+    explored: Explored,
+    samples: u64,
+    sqrt_c: f64,
+    rule: StopRule,
+    caps: LocalExploreCaps,
+    rng: &mut SmallRng,
+) -> (f64, LocalNodeStats) {
+    let c = sqrt_c * sqrt_c;
+    let level = explored.level;
     let mut stats = LocalNodeStats {
         levels: level,
-        edges: edges_used,
+        edges: explored.edges_used,
         tail_pairs: 0,
         tail_skipped: false,
     };
 
     let tail_bound = c.powi(level as i32);
-    let mut d_hat = 1.0 - met_probability;
+    let mut d_hat = 1.0 - explored.met_probability;
 
-    if tail_bound <= tail_skip_threshold || samples == 0 {
+    if tail_bound <= rule.tail_skip_threshold || samples == 0 {
         stats.tail_skipped = true;
         return (d_hat.clamp(1.0 - c, 1.0), stats);
     }
@@ -321,6 +408,105 @@ pub fn estimate_local_deterministic<G: NeighborAccess>(
     let tail_estimate = tail_bound * tail_hits as f64 / tail_samples as f64;
     d_hat -= tail_estimate;
     (d_hat.clamp(1.0 - c, 1.0), stats)
+}
+
+/// One completed exploration level of a node: the running `met_probability`
+/// after the level and the cumulative edges spent reaching it.
+type LevelPrefix = (f64, u64);
+
+/// The stored prefix of one node behind its own lock.
+type PrefixSlot = Mutex<Box<[LevelPrefix]>>;
+
+/// A per-node memo of Algorithm 3's deterministic exploration, owned by one
+/// [`crate::exactsim::ExactSim`] solver (and therefore by one graph and one
+/// decay factor).
+///
+/// For every node explored so far it keeps the [`LevelPrefix`] of each
+/// completed level. Both values depend only on the graph, the node and `c`;
+/// the source of a query only sets `R(k)`, which decides where the
+/// exploration stops. A later query therefore replays its stop rule against
+/// the stored prefix and, when the rule stops inside it, skips the
+/// exploration and reuses the stored values — bit for bit what exploring
+/// again would produce. When the rule needs a deeper level, the node is
+/// explored from level 1 as usual and the longer prefix replaces the stored
+/// one.
+///
+/// Each node has its own lock, held only to read or replace its prefix and
+/// never while exploring. Two queries racing on one node both explore it
+/// and compute identical prefixes; whichever is longer is kept. A hit
+/// allocates nothing. The memory is at most `max_levels × 16` bytes per
+/// explored node, plus one lock per node allocated on first use.
+///
+/// Cloning yields an empty memo (like [`crate::scratch::ScratchPool`]): the
+/// memo is a cache, not state.
+#[derive(Default)]
+pub(crate) struct ExploreMemo {
+    slots: OnceLock<Box<[PrefixSlot]>>,
+    stored_levels: AtomicUsize,
+}
+
+impl ExploreMemo {
+    fn slots(&self, n: usize) -> &[PrefixSlot] {
+        let slots = self
+            .slots
+            .get_or_init(|| (0..n).map(|_| Mutex::default()).collect());
+        assert_eq!(slots.len(), n, "exploration memo built for another graph");
+        slots
+    }
+
+    /// Replays `rule` against the stored prefix of `node`; `Some` when the
+    /// rule stops inside it.
+    fn replay(&self, n: usize, node: NodeId, rule: StopRule) -> Option<Explored> {
+        let prefix = self.slots(n)[node as usize]
+            .lock()
+            .expect("exploration memo poisoned");
+        prefix
+            .iter()
+            .enumerate()
+            .map(|(i, &(met_probability, edges_used))| Explored {
+                level: i + 1,
+                met_probability,
+                edges_used,
+            })
+            .find(|e| rule.stops_after(e.level, e.edges_used))
+    }
+
+    /// Keeps `levels` as the prefix of `node` if it is longer than the
+    /// stored one.
+    fn store(&self, n: usize, node: NodeId, levels: &[LevelPrefix]) {
+        let mut prefix = self.slots(n)[node as usize]
+            .lock()
+            .expect("exploration memo poisoned");
+        if levels.len() > prefix.len() {
+            self.stored_levels
+                .fetch_add(levels.len() - prefix.len(), Ordering::Relaxed);
+            *prefix = levels.into();
+        }
+    }
+
+    /// Bytes held: the per-node locks once allocated, plus every stored
+    /// prefix.
+    pub(crate) fn bytes(&self) -> usize {
+        let locks = self
+            .slots
+            .get()
+            .map_or(0, |slots| slots.len() * std::mem::size_of::<PrefixSlot>());
+        locks + self.stored_levels.load(Ordering::Relaxed) * std::mem::size_of::<LevelPrefix>()
+    }
+}
+
+impl Clone for ExploreMemo {
+    fn clone(&self) -> Self {
+        ExploreMemo::default()
+    }
+}
+
+impl std::fmt::Debug for ExploreMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExploreMemo")
+            .field("bytes", &self.bytes())
+            .finish()
+    }
 }
 
 /// Simulates one pair of Algorithm 3 tail walks: both walks take `forced`
@@ -371,97 +557,92 @@ fn sample_tail_pair<G: NeighborAccess>(
     false
 }
 
-/// Per-shard tallies of a sharded diagonal estimation, merged by summing
-/// (order-independent integer counters).
+/// Integer tallies of a diagonal estimation, summed over nodes (the sum is
+/// independent of which worker ran which node).
 #[derive(Clone, Copy, Debug, Default)]
-struct ShardTallies {
+struct Tallies {
     walk_pairs: u64,
     explore_edges: u64,
+    explore_edges_memoized: u64,
     tails_skipped: usize,
 }
 
-/// One shard of the Bernoulli estimation: fills `values[k - range.start]`
-/// for every `k` in `range` with a positive allocation.
-fn bernoulli_shard<G: NeighborAccess>(
-    graph: &G,
-    allocation: &[u64],
-    range: std::ops::Range<usize>,
-    sqrt_c: f64,
-    seed: u64,
-    values: &mut [f64],
-) -> ShardTallies {
-    let c = sqrt_c * sqrt_c;
-    let max_steps = 10 * ((1.0 / (1.0 - sqrt_c)).ceil() as usize).max(10);
-    let mut tallies = ShardTallies::default();
-    for k in range.clone() {
-        let r = allocation[k];
-        if r == 0 {
-            continue;
-        }
-        let slot = &mut values[k - range.start];
-        let din = graph.in_degree(k as NodeId);
-        if din == 0 {
-            *slot = 1.0;
-            continue;
-        }
-        if din == 1 {
-            *slot = 1.0 - c;
-            continue;
-        }
-        let mut rng = walks::make_rng(walks::derive_seed(seed, k as u64));
-        *slot = estimate_bernoulli(graph, k as NodeId, r, sqrt_c, max_steps, &mut rng);
-        tallies.walk_pairs += r;
+impl Tallies {
+    fn add(&mut self, other: Tallies) {
+        self.walk_pairs += other.walk_pairs;
+        self.explore_edges += other.explore_edges;
+        self.explore_edges_memoized += other.explore_edges_memoized;
+        self.tails_skipped += other.tails_skipped;
     }
-    tallies
 }
 
-/// One shard of the Algorithm 3 estimation.
-#[allow(clippy::too_many_arguments)]
-fn local_deterministic_shard<G: NeighborAccess>(
+/// Algorithm 2 for one node with `r > 0` pairs.
+fn bernoulli_node<G: NeighborAccess>(
     graph: &G,
-    allocation: &[u64],
-    range: std::ops::Range<usize>,
+    k: NodeId,
+    r: u64,
+    sqrt_c: f64,
+    seed: u64,
+) -> (f64, Tallies) {
+    if let Some(value) = trivial_value(graph, k, sqrt_c * sqrt_c) {
+        return (value, Tallies::default());
+    }
+    let max_steps = 10 * ((1.0 / (1.0 - sqrt_c)).ceil() as usize).max(10);
+    let mut rng = walks::make_rng(walks::derive_seed(seed, k as u64));
+    let value = estimate_bernoulli(graph, k, r, sqrt_c, max_steps, &mut rng);
+    let tallies = Tallies {
+        walk_pairs: r,
+        ..Tallies::default()
+    };
+    (value, tallies)
+}
+
+/// Algorithm 3 for one node with `r > 0` pairs, through `memo` when given.
+#[allow(clippy::too_many_arguments)]
+fn local_deterministic_node<G: NeighborAccess>(
+    graph: &G,
+    k: NodeId,
+    r: u64,
     sqrt_c: f64,
     tail_skip_threshold: f64,
     caps: LocalExploreCaps,
     seed: u64,
     scratch: &mut DiagonalScratch,
-    values: &mut [f64],
-) -> ShardTallies {
-    let mut tallies = ShardTallies::default();
-    for k in range.clone() {
-        let r = allocation[k];
-        if r == 0 {
-            continue;
-        }
-        let mut rng = walks::make_rng(walks::derive_seed(seed, k as u64));
-        let node_threshold = if tail_skip_threshold > 0.0 {
-            tail_skip_threshold.max(0.25 / (r as f64).sqrt())
-        } else {
-            0.0
-        };
-        let (value, stats) = estimate_local_deterministic(
-            graph,
-            k as NodeId,
-            r,
-            sqrt_c,
-            node_threshold,
-            caps,
-            scratch,
-            &mut rng,
-        );
-        values[k - range.start] = value;
-        tallies.walk_pairs += stats.tail_pairs;
-        tallies.explore_edges += stats.edges;
-        if stats.tail_skipped {
-            tallies.tails_skipped += 1;
-        }
+    memo: Option<&ExploreMemo>,
+) -> (f64, Tallies) {
+    let c = sqrt_c * sqrt_c;
+    if let Some(value) = trivial_value(graph, k, c) {
+        return (value, Tallies::default());
     }
-    tallies
+    let node_threshold = if tail_skip_threshold > 0.0 {
+        tail_skip_threshold.max(0.25 / (r as f64).sqrt())
+    } else {
+        0.0
+    };
+    let n = graph.num_nodes();
+    let rule = StopRule::new(r, sqrt_c, node_threshold, caps);
+    let replayed = memo.and_then(|memo| memo.replay(n, k, rule));
+    let memoized = replayed.is_some();
+    let explored = replayed.unwrap_or_else(|| {
+        let explored = explore(graph, k, c, rule, scratch);
+        if let Some(memo) = memo {
+            memo.store(n, k, &scratch.levels);
+        }
+        explored
+    });
+    let mut rng = walks::make_rng(walks::derive_seed(seed, k as u64));
+    let (value, stats) = sample_tail(graph, k, explored, r, sqrt_c, rule, caps, &mut rng);
+    let tallies = Tallies {
+        walk_pairs: stats.tail_pairs,
+        explore_edges: stats.edges,
+        explore_edges_memoized: if memoized { stats.edges } else { 0 },
+        tails_skipped: usize::from(stats.tail_skipped),
+    };
+    (value, tallies)
 }
 
 /// Estimates `D̂(k,k)` for every node with a positive sample allocation,
-/// allocating its own per-shard scratches (convenience wrapper around
+/// allocating its own per-worker scratches (convenience wrapper around
 /// [`estimate_diagonal_with`] for index-build-time callers).
 pub fn estimate_diagonal<G: NeighborAccess>(
     graph: &G,
@@ -489,12 +670,17 @@ pub fn estimate_diagonal<G: NeighborAccess>(
 ///
 /// `allocation[k]` is the paper's `R(k)`; nodes with zero allocation keep the
 /// prior `1 − c` (their contribution to the caller's result is zero anyway).
-/// Every node derives its own RNG stream from `(seed, k)` and its exploration
-/// state lives entirely in one shard's [`DiagonalScratch`], so the node range
-/// can be sharded across `threads` worker threads — each shard writes its own
-/// disjoint slice of the output — and the result is **bit-identical for any
-/// thread count** (and independent of call order). `scratches` is grown to
-/// the shard count and reused across calls.
+///
+/// The nodes to estimate form one work list, heaviest `R(k)` first (ties by
+/// id), because `R(k)` bounds both a node's exploration budget and its tail
+/// walks. `min(threads, nodes)` workers, each with its own
+/// [`DiagonalScratch`], take nodes from the list one at a time, so a
+/// worker that drew light nodes keeps drawing until the list is empty
+/// instead of idling beside one stuck on a heavy block. Every node derives
+/// its own RNG stream from `(seed, k)`, and its result does not depend on the
+/// scratch's history, so the estimate is **bit-identical for any thread
+/// count** and any assignment of nodes to workers. `scratches` is grown to
+/// the worker count and reused across calls.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_diagonal_with<G: NeighborAccess>(
     graph: &G,
@@ -506,6 +692,34 @@ pub fn estimate_diagonal_with<G: NeighborAccess>(
     threads: usize,
     scratches: &mut Vec<DiagonalScratch>,
 ) -> DiagonalEstimate {
+    estimate_diagonal_memo(
+        graph,
+        allocation,
+        estimator,
+        sqrt_c,
+        tail_skip_threshold,
+        seed,
+        threads,
+        scratches,
+        None,
+    )
+}
+
+/// [`estimate_diagonal_with`], with Algorithm 3's exploration going through
+/// `memo` when one is given. The answer is the same bit for bit; only
+/// [`DiagonalEstimate::explore_edges_memoized`] tells the difference.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn estimate_diagonal_memo<G: NeighborAccess>(
+    graph: &G,
+    allocation: &[u64],
+    estimator: &DiagonalEstimator,
+    sqrt_c: f64,
+    tail_skip_threshold: f64,
+    seed: u64,
+    threads: usize,
+    scratches: &mut Vec<DiagonalScratch>,
+    memo: Option<&ExploreMemo>,
+) -> DiagonalEstimate {
     let n = graph.num_nodes();
     assert_eq!(allocation.len(), n, "allocation must cover every node");
     let c = sqrt_c * sqrt_c;
@@ -513,31 +727,30 @@ pub fn estimate_diagonal_with<G: NeighborAccess>(
         values: vec![1.0 - c; n],
         ..Default::default()
     };
-    let ranges = split_ranges(n, threads.max(1));
-    match estimator {
+    let tallies = match estimator {
         DiagonalEstimator::Exact(values) => {
             assert_eq!(values.len(), n, "exact diagonal must cover every node");
             out.values = values.clone();
+            return out;
         }
-        DiagonalEstimator::ParSimApprox => {
-            // values already initialised to 1 - c.
-        }
+        // values already initialised to 1 - c.
+        DiagonalEstimator::ParSimApprox => return out,
         DiagonalEstimator::Bernoulli => {
-            let mut units = vec![(); ranges.len()];
-            let tallies =
-                shard_over_values(&mut out.values, &ranges, &mut units, |range, (), values| {
-                    bernoulli_shard(graph, allocation, range, sqrt_c, seed, values)
-                });
-            apply_tallies(&mut out, tallies);
+            let order = heaviest_first(allocation);
+            let mut units = vec![(); threads.max(1).min(order.len())];
+            run_work_list(&order, &mut units, &mut out.values, |k, ()| {
+                bernoulli_node(graph, k, allocation[k as usize], sqrt_c, seed)
+            })
         }
         DiagonalEstimator::LocalDeterministic(caps) => {
-            while scratches.len() < ranges.len() {
+            let order = heaviest_first(allocation);
+            let workers = threads.max(1).min(order.len());
+            while scratches.len() < workers {
                 scratches.push(DiagonalScratch::new(n));
             }
-            let shard_count = ranges.len();
             // A scratch retained from a *different* graph would index out of
             // bounds deep inside the kernels; fail loudly at the boundary.
-            for scratch in &scratches[..shard_count] {
+            for scratch in &scratches[..workers] {
                 assert_eq!(
                     scratch.num_nodes(),
                     n,
@@ -546,51 +759,90 @@ pub fn estimate_diagonal_with<G: NeighborAccess>(
                     scratch.num_nodes()
                 );
             }
-            let tallies = shard_over_values(
+            run_work_list(
+                &order,
+                &mut scratches[..workers],
                 &mut out.values,
-                &ranges,
-                &mut scratches[..shard_count],
-                |range, scratch, values| {
-                    local_deterministic_shard(
+                |k, scratch| {
+                    local_deterministic_node(
                         graph,
-                        allocation,
-                        range,
+                        k,
+                        allocation[k as usize],
                         sqrt_c,
                         tail_skip_threshold,
                         *caps,
                         seed,
                         scratch,
-                        values,
+                        memo,
                     )
                 },
-            );
-            apply_tallies(&mut out, tallies);
+            )
         }
-    }
+    };
+    out.walk_pairs = tallies.walk_pairs;
+    out.explore_edges = tallies.explore_edges;
+    out.explore_edges_memoized = tallies.explore_edges_memoized;
+    out.tails_skipped = tallies.tails_skipped;
     out
 }
 
-fn apply_tallies(out: &mut DiagonalEstimate, tallies: ShardTallies) {
-    out.walk_pairs += tallies.walk_pairs;
-    out.explore_edges += tallies.explore_edges;
-    out.tails_skipped += tallies.tails_skipped;
+/// The nodes with `R(k) > 0`, heaviest `R(k)` first, ties by ascending id.
+fn heaviest_first(allocation: &[u64]) -> Vec<NodeId> {
+    let mut order: Vec<NodeId> = (0..allocation.len() as NodeId)
+        .filter(|&k| allocation[k as usize] > 0)
+        .collect();
+    order.sort_unstable_by_key(|&k| (std::cmp::Reverse(allocation[k as usize]), k));
+    order
 }
 
-/// Runs `work` over every shard of `values` through the crate's one
-/// deterministic sharding primitive ([`crate::parallel`]'s `shard_slices`),
-/// summing the per-shard tallies in shard order. An empty `ranges` (empty
-/// graph) is a no-op.
-fn shard_over_values<C: Send>(
-    values: &mut [f64],
-    ranges: &[std::ops::Range<usize>],
+/// Runs `work` on every node of `order` with one worker per context: each
+/// worker takes the next node from a shared counter until the list is
+/// exhausted. Values are written back by node id and the tallies summed, so
+/// the outcome does not depend on which worker ran which node. One context
+/// runs inline on the caller's thread.
+fn run_work_list<C: Send>(
+    order: &[NodeId],
     contexts: &mut [C],
-    work: impl Fn(std::ops::Range<usize>, &mut C, &mut [f64]) -> ShardTallies + Sync,
-) -> ShardTallies {
-    let mut tallies = ShardTallies::default();
-    for t in crate::parallel::shard_slices(values, ranges, contexts, work) {
-        tallies.walk_pairs += t.walk_pairs;
-        tallies.explore_edges += t.explore_edges;
-        tallies.tails_skipped += t.tails_skipped;
+    values: &mut [f64],
+    work: impl Fn(NodeId, &mut C) -> (f64, Tallies) + Sync,
+) -> Tallies {
+    let mut tallies = Tallies::default();
+    if let [context] = contexts {
+        for &k in order {
+            let (value, t) = work(k, context);
+            values[k as usize] = value;
+            tallies.add(t);
+        }
+        return tallies;
+    }
+    let next = AtomicUsize::new(0);
+    let per_worker: Vec<(Vec<(NodeId, f64)>, Tallies)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = contexts
+            .iter_mut()
+            .map(|context| {
+                let (next, work) = (&next, &work);
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    let mut tallies = Tallies::default();
+                    while let Some(&k) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let (value, t) = work(k, context);
+                        done.push((k, value));
+                        tallies.add(t);
+                    }
+                    (done, tallies)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("diagonal worker panicked"))
+            .collect()
+    });
+    for (done, t) in per_worker {
+        for (k, value) in done {
+            values[k as usize] = value;
+        }
+        tallies.add(t);
     }
     tallies
 }

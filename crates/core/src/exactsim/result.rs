@@ -38,8 +38,14 @@ pub struct ExactSimStats {
     /// `total_walk_pairs` when the deterministic exploration (Algorithm 3)
     /// made tail sampling unnecessary.
     pub simulated_walk_pairs: u64,
-    /// Edge traversals spent on the deterministic exploration of `D`.
+    /// Edge traversals Algorithm 3's stop rule charged to the deterministic
+    /// exploration of `D` — the same count whether the levels were explored
+    /// by this query or replayed from the solver's exploration memo.
     pub explore_edges: u64,
+    /// The part of `explore_edges` replayed from the exploration memo
+    /// instead of traversed; equals `explore_edges` when every node was
+    /// already explored deep enough by an earlier query.
+    pub explore_edges_memoized: u64,
     /// Nodes whose tail sampling was skipped entirely.
     pub tails_skipped: usize,
     /// Peak auxiliary memory in bytes — the quantity reported in the paper's

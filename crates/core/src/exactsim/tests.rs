@@ -355,3 +355,165 @@ fn queries_are_bit_identical_across_calls_and_instances() {
         assert_eq!(a.scores, b.scores, "source {source} not reproducible");
     }
 }
+
+/// The bits of every score plus the stats the memo must not move.
+fn fingerprint(result: &ExactSimResult) -> (Vec<u64>, u64, u64) {
+    (
+        result.scores.iter().map(|s| s.to_bits()).collect(),
+        result.stats.simulated_walk_pairs,
+        result.stats.explore_edges,
+    )
+}
+
+/// An optimized configuration at `epsilon`, `walk_budget` and `threads`.
+fn memo_config(epsilon: f64, walk_budget: Option<u64>, threads: usize) -> ExactSimConfig {
+    ExactSimConfig {
+        epsilon,
+        walk_budget,
+        simrank: crate::SimRankConfig {
+            threads,
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
+/// The two memo regimes, each on a graph where a debug build answers in
+/// milliseconds: the serving configuration (ε = 1e-2 under a 2M walk
+/// budget) and the guarantee regime (ε = 1e-3, no budget), whose exploration
+/// runs to the default 200k-edge cap for nearly every node.
+fn memo_cases() -> [(DiGraph, f64, Option<u64>); 2] {
+    [
+        (
+            barabasi_albert(150, 3, true, 21).unwrap(),
+            1e-2,
+            Some(2_000_000),
+        ),
+        (barabasi_albert(60, 3, true, 21).unwrap(), 1e-3, None),
+    ]
+}
+
+const MEMO_SOURCES: [NodeId; 8] = [0, 5, 11, 17, 23, 31, 42, 59];
+
+#[test]
+fn warm_solver_answers_bit_identically_to_fresh_ones() {
+    for (g, eps, budget) in memo_cases() {
+        let fresh: Vec<_> = MEMO_SOURCES
+            .iter()
+            .map(|&s| {
+                let solver = ExactSim::new(&g, memo_config(eps, budget, 1)).unwrap();
+                fingerprint(&solver.query(s).unwrap())
+            })
+            .collect();
+        for threads in [1, 2] {
+            let warm = ExactSim::new(&g, memo_config(eps, budget, threads)).unwrap();
+            let mut memoized = 0;
+            // The second pass runs on a memo warmed by all eight sources.
+            for pass in 0..2 {
+                for (&s, want) in MEMO_SOURCES.iter().zip(&fresh) {
+                    let got = warm.query(s).unwrap();
+                    memoized += got.stats.explore_edges_memoized;
+                    assert!(
+                        fingerprint(&got) == *want,
+                        "eps {eps} threads {threads} pass {pass} source {s}"
+                    );
+                }
+            }
+            assert!(memoized > 0, "the memo was never hit");
+        }
+    }
+}
+
+#[test]
+fn concurrent_queries_on_one_solver_match_fresh_solvers() {
+    let [(g, eps, budget), _] = memo_cases();
+    let cfg = memo_config(eps, budget, 2);
+    let fresh: Vec<_> = MEMO_SOURCES
+        .iter()
+        .map(|&s| fingerprint(&ExactSim::new(&g, cfg.clone()).unwrap().query(s).unwrap()))
+        .collect();
+    let shared = ExactSim::new(&g, cfg).unwrap();
+    std::thread::scope(|scope| {
+        for reversed in [false, true] {
+            let (shared, fresh) = (&shared, &fresh);
+            scope.spawn(move || {
+                let mut order: Vec<usize> = (0..MEMO_SOURCES.len()).collect();
+                if reversed {
+                    order.reverse();
+                }
+                for i in order {
+                    let got = shared.query(MEMO_SOURCES[i]).unwrap();
+                    assert!(fingerprint(&got) == fresh[i], "source {}", MEMO_SOURCES[i]);
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn repeated_source_is_fully_memoized_with_equal_stats() {
+    let [(g, eps, budget), _] = memo_cases();
+    let solver = ExactSim::new(&g, memo_config(eps, budget, 1)).unwrap();
+    assert_eq!(solver.memo_bytes(), 0, "the memo is allocated lazily");
+    let first = solver.query(7).unwrap();
+    let bytes = solver.memo_bytes();
+    assert!(bytes > 0);
+    let second = solver.query(7).unwrap();
+    assert_eq!(solver.memo_bytes(), bytes, "a full hit stores nothing");
+    assert!(first.stats.explore_edges > 0);
+    assert_eq!(first.stats.explore_edges_memoized, 0);
+    assert_eq!(
+        second.stats.explore_edges_memoized,
+        second.stats.explore_edges
+    );
+    assert_eq!(
+        ExactSimStats {
+            explore_edges_memoized: 0,
+            ..second.stats
+        },
+        first.stats
+    );
+    assert_eq!(first.scores, second.scores);
+}
+
+#[test]
+fn a_node_needed_shallow_then_deeper_is_explored_again() {
+    use crate::diagonal::{estimate_diagonal, estimate_diagonal_memo, ExploreMemo};
+    let g = barabasi_albert(150, 3, true, 27).unwrap();
+    let sqrt_c = crate::SimRankConfig::default().sqrt_decay();
+    let estimator = DiagonalEstimator::LocalDeterministic(LocalExploreCaps::default());
+    let node = 5usize;
+    let memo = ExploreMemo::default();
+    let mut scratches = Vec::new();
+    // R(k) = 50 stops after a few hundred edges; 5e6 needs far more levels.
+    for (r, memoized) in [
+        (50u64, false),
+        (5_000_000, false),
+        (50, true),
+        (5_000_000, true),
+    ] {
+        let mut allocation = vec![0u64; g.num_nodes()];
+        allocation[node] = r;
+        let fresh = estimate_diagonal(&g, &allocation, &estimator, sqrt_c, 1e-4, 9, 1);
+        let got = estimate_diagonal_memo(
+            &g,
+            &allocation,
+            &estimator,
+            sqrt_c,
+            1e-4,
+            9,
+            1,
+            &mut scratches,
+            Some(&memo),
+        );
+        assert_eq!(
+            got.values[node].to_bits(),
+            fresh.values[node].to_bits(),
+            "R = {r}"
+        );
+        assert_eq!(got.walk_pairs, fresh.walk_pairs, "R = {r}");
+        assert_eq!(got.explore_edges, fresh.explore_edges, "R = {r}");
+        let want = if memoized { fresh.explore_edges } else { 0 };
+        assert_eq!(got.explore_edges_memoized, want, "R = {r}");
+    }
+}

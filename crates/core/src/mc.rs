@@ -180,10 +180,7 @@ impl<G: NeighborAccess> MonteCarlo<G> {
         };
         let threads = self.config.simrank.threads.max(1);
         let ranges = crate::parallel::split_ranges(n, threads);
-        let mut units = vec![(); ranges.len()];
-        crate::parallel::shard_slices(&mut scores, &ranges, &mut units, |range, (), out| {
-            tally_range(range, out)
-        });
+        crate::parallel::shard_slices(&mut scores, &ranges, tally_range);
         Ok(scores)
     }
 }

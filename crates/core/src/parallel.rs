@@ -130,51 +130,35 @@ fn shard_rows(
     work: impl Fn(std::ops::Range<usize>, &mut [f64]) + Sync,
 ) {
     assert_eq!(y.len(), len, "output vector length must equal num_nodes");
-    let ranges = split_ranges(len, threads.max(1));
-    let mut units = vec![(); ranges.len()];
-    shard_slices(y, &ranges, &mut units, |range, (), out| work(range, out));
+    shard_slices(y, &split_ranges(len, threads.max(1)), work);
 }
 
 /// The one audited implementation of deterministic output sharding: every
-/// range of `ranges` owns the matching disjoint slice of `out` plus its own
-/// mutable per-shard context (`contexts[i]`, e.g. a scratch workspace), and
-/// the per-shard results come back **in shard order**, so both the writes
-/// and the merge are independent of thread scheduling. One shard (or an
-/// empty `ranges`) runs inline on the caller's thread.
-pub(crate) fn shard_slices<C: Send, T: Send>(
+/// range of `ranges` owns the matching disjoint slice of `out`, so each
+/// output slot is written by exactly one shard, independent of thread
+/// scheduling. One shard (or an empty `ranges`) runs inline on the caller's
+/// thread.
+pub(crate) fn shard_slices(
     out: &mut [f64],
     ranges: &[std::ops::Range<usize>],
-    contexts: &mut [C],
-    work: impl Fn(std::ops::Range<usize>, &mut C, &mut [f64]) -> T + Sync,
-) -> Vec<T> {
-    assert_eq!(ranges.len(), contexts.len(), "one context per shard");
+    work: impl Fn(std::ops::Range<usize>, &mut [f64]) + Sync,
+) {
     if ranges.len() <= 1 {
-        return match ranges.first() {
-            Some(range) => vec![work(
-                range.clone(),
-                &mut contexts[0],
-                &mut out[range.clone()],
-            )],
-            None => Vec::new(),
-        };
+        if let Some(range) = ranges.first() {
+            work(range.clone(), &mut out[range.clone()]);
+        }
+        return;
     }
-    let mut results: Vec<Option<T>> = Vec::new();
-    results.resize_with(ranges.len(), || None);
     std::thread::scope(|scope| {
         let work = &work;
-        let mut handles = Vec::with_capacity(ranges.len());
         let mut rest: &mut [f64] = out;
-        for (range, context) in ranges.iter().zip(contexts.iter_mut()) {
+        for range in ranges {
             let (head, tail) = rest.split_at_mut(range.len());
             rest = tail;
             let range = range.clone();
-            handles.push(scope.spawn(move || work(range, context, head)));
-        }
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("shard worker panicked"));
+            scope.spawn(move || work(range, head));
         }
     });
-    results.into_iter().flatten().collect()
 }
 
 /// Element-wise sum of per-chunk dense vectors — the common reduction for

@@ -57,7 +57,7 @@ pub struct Scratch {
     pub(crate) dense_tmp: Vec<f64>,
     /// Per-node walk-pair allocation `R(k)`.
     pub(crate) allocation: Vec<u64>,
-    /// Per-shard diagonal-exploration scratches, grown to the thread count.
+    /// Per-worker diagonal-exploration scratches, grown to the thread count.
     pub(crate) diag: Vec<DiagonalScratch>,
 }
 
@@ -152,7 +152,7 @@ impl std::fmt::Debug for ScratchPool {
     }
 }
 
-/// Scratch state for one shard of the diagonal estimation (Algorithm 3):
+/// Scratch state for one worker of the diagonal estimation (Algorithm 3):
 /// the dense replacements for the seed-era `BTreeMap` accumulators.
 #[derive(Debug)]
 pub struct DiagonalScratch {
@@ -164,16 +164,20 @@ pub struct DiagonalScratch {
     pub(crate) z_levels: Vec<SparseVec>,
     /// Lazily reset per-node walk-distribution table.
     pub(crate) dist: DistTable,
+    /// `(met_probability, cumulative edges)` after each level of the node
+    /// being explored, for the solver's exploration memo.
+    pub(crate) levels: Vec<(f64, u64)>,
 }
 
 impl DiagonalScratch {
-    /// Creates a per-shard scratch for graphs with `n` nodes.
+    /// Creates a per-worker scratch for graphs with `n` nodes.
     pub fn new(n: usize) -> Self {
         DiagonalScratch {
             ws: Workspace::new(n),
             z: Workspace::new(n),
             z_levels: Vec::new(),
             dist: DistTable::new(n),
+            levels: Vec::new(),
         }
     }
 

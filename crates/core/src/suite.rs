@@ -45,6 +45,14 @@ pub trait SingleSourceAlgorithm {
     fn index_bytes(&self) -> usize {
         0
     }
+
+    /// A copy that has answered no query yet, for harnesses that time every
+    /// query as the algorithm's first. `None` (the default) means answering
+    /// a query leaves nothing behind that speeds up the next one, so the
+    /// algorithm itself can answer every measured query.
+    fn fresh_copy(&self) -> Option<Box<dyn SingleSourceAlgorithm + '_>> {
+        None
+    }
 }
 
 fn timed_query<F>(f: F) -> Result<QueryOutput, SimRankError>
@@ -73,13 +81,20 @@ impl<G: NeighborAccess> ExactSimAlgorithm<G> {
     }
 }
 
-impl<G: NeighborAccess> SingleSourceAlgorithm for ExactSimAlgorithm<G> {
+impl<G: NeighborAccess + Clone> SingleSourceAlgorithm for ExactSimAlgorithm<G> {
     fn name(&self) -> &'static str {
         "ExactSim"
     }
 
     fn query(&self, source: NodeId) -> Result<QueryOutput, SimRankError> {
         timed_query(|| self.solver.query(source).map(|r| r.scores))
+    }
+
+    /// A clone of the solver, whose exploration memo starts empty.
+    fn fresh_copy(&self) -> Option<Box<dyn SingleSourceAlgorithm + '_>> {
+        Some(Box::new(ExactSimAlgorithm {
+            solver: self.solver.clone(),
+        }))
     }
 }
 
